@@ -35,11 +35,27 @@ type EncodedFrame struct {
 	Skipped  bool // rate controller dropped this frame (stall)
 	Bits     int  // wire bits (what the network carries)
 	QStep    float64
-	// Source is the frame given to the encoder; Recon is what a decoder
-	// reconstructs. Both are retained as metadata in place of actual
-	// compressed bytes.
+	// Source is the frame given to the encoder, retained as metadata in
+	// place of actual compressed bytes; Recon returns what a decoder
+	// reconstructs from it.
 	Source *media.Frame
-	Recon  *media.Frame
+
+	// enc owns the reconstruction. EncodedFrame is copied by value (into
+	// the sender's log, behind RTP packets), so lazy state kept in the
+	// struct would be built once per copy; kept in the encoder, every
+	// copy sees the same *media.Frame.
+	enc *VideoEncoder
+}
+
+// Recon returns the decoder-visible reconstruction of the frame, built
+// on first demand, or nil for a skipped frame or one not produced by a
+// VideoEncoder. Like the encoder, it belongs to one goroutine: building
+// a reconstruction advances the encoder's quantization noise.
+func (ef EncodedFrame) Recon() *media.Frame {
+	if ef.enc == nil || ef.Skipped {
+		return nil
+	}
+	return ef.enc.recon(ef.Seq)
 }
 
 // VideoEncoderConfig tunes the encoder model.
@@ -95,11 +111,29 @@ type VideoEncoder struct {
 	sinceKey   int
 	debtBits   float64
 	targetBps  float64
+	// recons holds every encoded frame's reconstruction by seq. Encode
+	// only records how to build one; recon builds them strictly in
+	// encode order, recons[:built] being final, so the quantization
+	// noise draws land on the same pixels whichever frame a decoder asks
+	// for first, and frames past the last one read (all of them in a lag
+	// study) cost none.
+	recons []reconSlot
+	built  int
 	// pool recycles the resize ladder's transient frames (the
-	// down-scaled source and its quantized form). Reconstructions are
-	// never pooled: they outlive the encoder call and downstream QoE
-	// caches key on their identity.
+	// down-scaled source and its quantized form) while a reconstruction
+	// is built. Reconstructions are never pooled: they outlive the call
+	// and downstream QoE caches key on their identity.
 	pool *media.FramePool
+}
+
+// reconSlot is one frame's reconstruction: src quantized at qstep on the
+// encW×encH ladder rung, then held in frame once built. src is nil for a
+// skipped frame.
+type reconSlot struct {
+	src        *media.Frame
+	qstep      float64
+	encW, encH int
+	frame      *media.Frame
 }
 
 // NewVideoEncoder creates an encoder. Config zero-values are defaulted.
@@ -142,7 +176,8 @@ func (e *VideoEncoder) TargetBps() float64 { return e.targetBps }
 
 // Encode consumes the next source frame and returns its encoded form.
 // A Skipped frame carries no bits and no reconstruction: the rate
-// controller is stalling the stream.
+// controller is stalling the stream. The encoder keeps f until its
+// reconstruction is built, so f must not change after the call.
 func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 	seq := e.seq
 	e.seq++
@@ -175,7 +210,8 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 		if e.debtBits < 0 {
 			e.debtBits = 0
 		}
-		return EncodedFrame{Seq: seq, Skipped: true, Source: f}
+		e.recons = append(e.recons, reconSlot{})
+		return EncodedFrame{Seq: seq, Skipped: true, Source: f, enc: e}
 	}
 
 	// Choose the quantizer to hit the per-frame budget (minus debt
@@ -210,17 +246,7 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 	effBits := rdBitsPerPixel * encPix * math.Log2(1+m/qstep)
 	bits := effBits * e.cfg.BitScale
 
-	var recon *media.Frame
-	if scale == 1 {
-		recon = e.quantize(f, qstep)
-	} else {
-		small := f.ResizePooled(e.pool, encW, encH)
-		qsmall := e.pool.Get(encW, encH)
-		e.quantizeTo(qsmall, small, qstep)
-		recon = qsmall.Resize(f.W, f.H)
-		e.pool.Put(small)
-		e.pool.Put(qsmall)
-	}
+	e.recons = append(e.recons, reconSlot{src: f, qstep: qstep, encW: encW, encH: encH})
 	if key {
 		e.sinceKey = 0
 	} else {
@@ -232,8 +258,37 @@ func (e *VideoEncoder) Encode(f *media.Frame) EncodedFrame {
 	}
 	return EncodedFrame{
 		Seq: seq, Keyframe: key, Bits: int(bits), QStep: qstep,
-		Source: f, Recon: recon,
+		Source: f, enc: e,
 	}
+}
+
+// recon returns frame seq's reconstruction, first building every
+// pending one up to it in encode order.
+func (e *VideoEncoder) recon(seq int) *media.Frame {
+	for ; e.built <= seq; e.built++ {
+		if r := &e.recons[e.built]; r.src != nil {
+			r.frame = e.reconstruct(r)
+		}
+	}
+	return e.recons[seq].frame
+}
+
+// reconstruct builds r's frame: the source quantized at full geometry,
+// or on its smaller ladder rung and scaled back up.
+func (e *VideoEncoder) reconstruct(r *reconSlot) *media.Frame {
+	f := r.src
+	if r.encW == f.W && r.encH == f.H {
+		out := media.NewFrame(f.W, f.H)
+		e.quantizeTo(out, f, r.qstep)
+		return out
+	}
+	small := f.ResizePooled(e.pool, r.encW, r.encH)
+	qsmall := e.pool.Get(r.encW, r.encH)
+	e.quantizeTo(qsmall, small, r.qstep)
+	out := qsmall.Resize(f.W, f.H)
+	e.pool.Put(small)
+	e.pool.Put(qsmall)
+	return out
 }
 
 // solveQStep inverts the rate model for a bit budget, clamped to the
@@ -256,17 +311,10 @@ func solveQStep(m, bits, npix float64) float64 {
 	return q
 }
 
-// quantize produces the reconstructed frame: source plus uniform
-// quantization noise in ±Δ/2.
-func (e *VideoEncoder) quantize(f *media.Frame, qstep float64) *media.Frame {
-	r := media.NewFrame(f.W, f.H)
-	e.quantizeTo(r, f, qstep)
-	return r
-}
-
 // quantizeTo writes the quantized form of f into r (same geometry,
-// every pixel), drawing one noise sample per pixel in row-major order —
-// the exact draw sequence of the historical clone-then-mutate form.
+// every pixel): source plus uniform quantization noise in ±Δ/2, one
+// noise sample per pixel in row-major order — the exact draw sequence of
+// the historical clone-then-mutate form.
 func (e *VideoEncoder) quantizeTo(r, f *media.Frame, qstep float64) {
 	half := qstep / 2
 	for i := range r.Pix {
@@ -310,9 +358,9 @@ func (d *VideoDecoder) Decode(ef *EncodedFrame) *media.Frame {
 		}
 	case ef.Keyframe:
 		d.needKey = false
-		d.last = ef.Recon
+		d.last = ef.Recon()
 	case !d.needKey:
-		d.last = ef.Recon
+		d.last = ef.Recon()
 	default:
 		// Inter frame without a valid reference: keep freezing.
 	}

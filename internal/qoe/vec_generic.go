@@ -4,7 +4,11 @@ package qoe
 
 // Portable forms of the convolution inner loops. The amd64 SIMD kernels
 // (vec_amd64.s) compute exactly these recurrences with separate multiply
-// and add roundings, so every architecture produces identical bytes.
+// and add roundings. That does not make every architecture produce
+// identical bytes: the Go spec lets a compiler fuse x*y + z into one FMA
+// with a single rounding, and gc does so on arm64, ppc64le, s390x and
+// riscv64, so axpyVec may round differently there. Byte identity (the
+// goldens, TestVecKernelsBitIdentical) is checked on amd64 only.
 
 // scaleVec writes dst[i] = src[i] * k for every i in dst.
 // len(src) must be >= len(dst).

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,7 +120,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	finished []string          // finished job ids, oldest first
+	nextSeq  uint64            // submission number of the next new job
+	finished []*job            // finished jobs, oldest submission first
 	cells    map[string][]byte // scoped cell key → CellResult JSON
 	cellRefs map[string]int    // retained jobs referencing each key
 	diags    map[string][]byte // scoped cell key → CellDiag JSON artifact
@@ -135,6 +137,7 @@ func cellIndexKey(scaleName string, seed int64, unitKey string) string {
 // job is one submitted campaign execution.
 type job struct {
 	id        string
+	seq       uint64 // submission order; eviction follows it
 	name      string
 	scaleName string
 	seed      int64
@@ -308,9 +311,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, exists := s.jobs[id]
 	if !exists {
 		j = &job{
-			id: id, name: spec.Name, scaleName: sc.Name, seed: seed,
+			id: id, seq: s.nextSeq, name: spec.Name, scaleName: sc.Name, seed: seed,
 			spec: spec, status: "queued", done: make(chan struct{}),
 		}
+		s.nextSeq++
 		s.jobs[id] = j
 		if s.mCampaigns != nil {
 			s.mCampaigns.Inc()
@@ -462,18 +466,18 @@ func (s *Server) run(j *job, sc core.Scale) {
 	close(j.done)
 }
 
-// finish records a terminal job and evicts the oldest finished jobs
-// beyond MaxJobs — result documents and cell-index entries are dropped
-// (the persistent store still holds every computed cell, so a
-// resubmission re-runs warm). Caller holds s.mu.
+// finish records a terminal job and evicts the oldest-submitted
+// finished jobs beyond MaxJobs — result documents and cell-index entries
+// are dropped (the persistent store still holds every computed cell, so
+// a resubmission re-runs warm). Concurrent jobs finish in any order, so
+// eviction follows submission order, never completion order. Caller
+// holds s.mu.
 func (s *Server) finish(j *job) {
-	s.finished = append(s.finished, j.id)
+	i := sort.Search(len(s.finished), func(i int) bool { return s.finished[i].seq > j.seq })
+	s.finished = slices.Insert(s.finished, i, j)
 	for len(s.finished) > s.cfg.MaxJobs {
-		old := s.jobs[s.finished[0]]
+		old := s.finished[0]
 		s.finished = s.finished[1:]
-		if old == nil {
-			continue
-		}
 		for _, key := range old.cellKeys {
 			if s.cellRefs[key]--; s.cellRefs[key] <= 0 {
 				delete(s.cellRefs, key)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -444,6 +445,68 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 		t.Error("evicted cell's refcount entry leaked")
 	}
 	srv.mu.Unlock()
+}
+
+// gatedStore is an in-memory CellStore whose Get of one key blocks
+// until release is closed, holding the job that persists that cell
+// between its campaign run and its terminal status.
+type gatedStore struct {
+	gate    string
+	release chan struct{}
+
+	mu   sync.Mutex
+	data map[string][]byte
+}
+
+func (g *gatedStore) Get(key string) ([]byte, bool) {
+	if key == g.gate {
+		<-g.release
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	v, ok := g.data[key]
+	return v, ok
+}
+
+func (g *gatedStore) Put(key string, data []byte) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.data[key] = data
+	return nil
+}
+
+// Eviction follows submission order, not completion order: a job
+// submitted first but finishing last is still the oldest, so it is
+// the one a later job evicts.
+func TestServeEvictsOldestSubmissionNotOldestCompletion(t *testing.T) {
+	st := &gatedStore{
+		gate:    core.ServeCellKey("tiny", 42, "svc"),
+		release: make(chan struct{}),
+		data:    make(map[string][]byte),
+	}
+	var once sync.Once
+	release := func() { once.Do(func() { close(st.release) }) }
+	t.Cleanup(release)
+	ts := newTestServer(t, Config{Store: st, MaxJobs: 2, MaxRuns: 2})
+
+	a := submit(t, ts, `{"spec": `+testSpec+`}`) // seed 42: held at the gate
+	b := submit(t, ts, `{"spec": `+testSpec+`, "seed": 43}`)
+	if fin := poll(t, ts, b.ID); fin.Status != "done" {
+		t.Fatalf("job b: %+v", fin)
+	}
+	release()
+	if fin := poll(t, ts, a.ID); fin.Status != "done" {
+		t.Fatalf("job a: %+v", fin)
+	}
+
+	c := submit(t, ts, `{"spec": `+testSpec+`, "seed": 44}`)
+	poll(t, ts, c.ID)
+	if code, _ := get(t, ts, "/campaigns/"+a.ID); code != http.StatusNotFound {
+		t.Errorf("first-submitted job (finished last) not evicted: %d", code)
+	}
+	if code, _ := get(t, ts, "/campaigns/"+b.ID); code != http.StatusOK {
+		t.Errorf("later-submitted job evicted instead: %d", code)
+	}
 }
 
 // DrainJobs returns only after every submitted campaign is terminal.

@@ -936,7 +936,7 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 	}
 	// Trace the lifecycle: one campaign span, an envelope span per cell
 	// (and per replica when replicated) whose extent derives from its
-	// unit children, and the per-unit parent map runMemoized hangs unit
+	// unit children, and the per-unit parent map resolve hangs unit
 	// spans off. All observational — res never depends on tr.
 	tr := tb.tracer()
 	var campSpan obs.SpanID
@@ -965,9 +965,10 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 	// never reach the merged result. Unit i belongs to cell i/reps
 	// (cell-major key layout); the cell's axes are shared by all its
 	// replicas while the per-unit key alone differentiates their seeds.
-	res := tb.runMemoized(sc, rc.salt(), keys, parents, func(stb *Testbed, i int) any {
-		return runCell(stb, cells[i/reps], sc)
-	}, tb.remoteRunner(spec, sc))
+	res, _ := tb.resolve(keys, parents, memoTier, tb.storeTier(sc, rc.salt()), tb.remoteTier(spec, sc),
+		localTier(func(stb *Testbed, i int) any {
+			return runCell(stb, cells[i/reps], sc)
+		}))
 	tr.End(campSpan)
 	out := &CampaignResult{
 		Name:        spec.Name,

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
 )
 
@@ -17,9 +18,10 @@ import (
 // hold bytes under a key) lets campaign-unit results outlive the
 // process. Every unit result is deterministic in (schema version, seed,
 // scale, overrides, campaign context, unit key), so that tuple IS the
-// storage key: runMemoized consults the store before dispatching a unit
-// and persists right after computing one, which makes warm reruns of
-// whole campaigns near-instant and byte-identical to cold runs.
+// storage key: the store tier of resolve's chain is consulted before
+// dispatching a unit and written right after computing one, which
+// makes warm reruns of whole campaigns near-instant and byte-identical
+// to cold runs.
 
 // CellStore persists encoded campaign-unit results across processes.
 // Implementations must be safe for concurrent use; the harness treats
@@ -141,40 +143,49 @@ func decodeCell(data []byte) (any, error) {
 	return v, nil
 }
 
-// storeGet fetches and decodes one unit result; any failure is a miss.
-func (tb *Testbed) storeGet(sc Scale, salt, unitKey string) (any, bool) {
+// storeTier serves units from the attached cell store, and keeps every
+// result a later tier served, so the sharing extends across processes;
+// nil when no store is attached. sc and salt scope the persisted keys
+// (see cellKey); they never influence in-memory behaviour.
+func (tb *Testbed) storeTier(sc Scale, salt string) *tier {
 	if tb.store == nil {
-		return nil, false
+		return nil
 	}
-	data, ok := tb.store.Get(tb.cellKey(sc, salt, unitKey))
-	if !ok {
-		return nil, false
-	}
-	v, err := decodeCell(data)
-	if err != nil {
-		// Undecodable bytes (foreign content, or corruption that got
-		// past the store's own checks) mean recompute-and-overwrite,
-		// never a failed run.
-		return nil, false
-	}
-	return v, true
-}
-
-// storePut persists one freshly computed unit result, recording (not
-// raising) the first failure.
-func (tb *Testbed) storePut(sc Scale, salt, unitKey string, v any) {
-	if tb.store == nil {
-		return
-	}
-	data, err := encodeCell(v)
-	if err == nil {
-		err = tb.store.Put(tb.cellKey(sc, salt, unitKey), data)
-	}
-	if err != nil {
-		tb.memoMu.Lock()
-		if tb.storeErr == nil {
-			tb.storeErr = err
-		}
-		tb.memoMu.Unlock()
+	return &tier{
+		span: obs.TierStore, label: "store",
+		get: func(_ *Testbed, _ int, key string) (any, []byte, bool) {
+			data, ok := tb.store.Get(tb.cellKey(sc, salt, key))
+			if !ok {
+				return nil, nil, false
+			}
+			v, err := decodeCell(data)
+			if err != nil {
+				// Undecodable bytes (foreign content, or corruption that
+				// got past the store's own checks) mean
+				// recompute-and-overwrite, never a failed run.
+				return nil, nil, false
+			}
+			return v, data, true
+		},
+		keep: func(r *resolution, i int) {
+			// A worker's bytes are stored as they came: re-encoding the
+			// decoded value would reproduce them exactly.
+			var err error
+			if r.data[i] == nil {
+				r.data[i], err = encodeCell(r.out[i])
+			}
+			if err == nil {
+				err = tb.store.Put(tb.cellKey(sc, salt, r.keys[i]), r.data[i])
+			}
+			if err != nil {
+				// Persistence is an optimization: record the first
+				// failure, never raise it.
+				tb.memoMu.Lock()
+				if tb.storeErr == nil {
+					tb.storeErr = err
+				}
+				tb.memoMu.Unlock()
+			}
+		},
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/vcabench/vcabench/internal/obs"
 )
 
 // This file is the dispatch seam of the campaign engine — the
@@ -12,10 +14,11 @@ import (
 // many client machines), and every cell's seed derives from its
 // canonical unit key, so a cell computes to the same bytes on any
 // machine. A Dispatcher (implemented by internal/cluster.Pool over
-// vcabenchd's POST /units endpoint) exploits that: runMemoized hands it
-// the units that neither the memo table nor the cell store holds, and
-// any unit the fleet cannot serve — a dead worker, a timeout, an
-// undecodable response — transparently falls back to local execution.
+// vcabenchd's POST /units endpoint) exploits that: it is the remote tier
+// of resolve's chain, offered the units that neither the memo table nor
+// the cell store holds, and any unit the fleet cannot serve — a dead
+// worker, a timeout, an undecodable response — falls through to the
+// local tier.
 // Placement can never leak into results: the merged CampaignResult is
 // byte-identical to a single-machine run for any fleet size, worker
 // mix or failure pattern.
@@ -57,34 +60,34 @@ func (tb *Testbed) WithDispatcher(d Dispatcher) *Testbed {
 	return tb
 }
 
-// remoteRunner builds the remote-execution closure runMemoized fans
-// missing units through, or nil when this run must stay local: no
-// dispatcher attached; platform overrides in effect (ablations exist
-// only in this process, a remote worker would compute stock platforms);
-// or a tweaked scale that merely reuses a preset's name (a UnitRequest
-// carries scales by name, so shipping it would silently change the
-// workload).
-func (tb *Testbed) remoteRunner(spec Campaign, sc Scale) func(key string) (any, bool) {
+// remoteTier offers units to the attached Dispatcher, or is nil when
+// this run must stay local: no dispatcher attached; platform overrides
+// in effect (ablations exist only in this process, a remote worker
+// would compute stock platforms); or a tweaked scale that merely reuses
+// a preset's name (a UnitRequest carries scales by name, so shipping it
+// would silently change the workload).
+func (tb *Testbed) remoteTier(spec Campaign, sc Scale) *tier {
 	if tb.dispatcher == nil || len(tb.overrides) > 0 {
 		return nil
 	}
 	if preset, ok := ScaleByName(sc.Name); !ok || preset != sc {
 		return nil
 	}
-	d := tb.dispatcher
-	seed := tb.seed
-	return func(key string) (any, bool) {
-		data, err := d.DispatchUnit(UnitRequest{Spec: spec, Scale: sc.Name, Seed: seed, Key: key, Diag: tb.diag})
-		if err != nil {
-			return nil, false
-		}
-		v, err := decodeCell(data)
-		if err != nil {
-			// A worker that returns undecodable bytes is as good as a
-			// dead one: recompute locally, never fail the campaign.
-			return nil, false
-		}
-		return v, true
+	return &tier{
+		span: obs.TierDispatch, label: "dispatch", fan: fleet,
+		get: func(_ *Testbed, _ int, key string) (any, []byte, bool) {
+			data, err := tb.dispatcher.DispatchUnit(UnitRequest{Spec: spec, Scale: sc.Name, Seed: tb.seed, Key: key, Diag: tb.diag})
+			if err != nil {
+				return nil, nil, false
+			}
+			v, err := decodeCell(data)
+			if err != nil {
+				// A worker that returns undecodable bytes is as good as a
+				// dead one: recompute locally, never fail the campaign.
+				return nil, nil, false
+			}
+			return v, data, true
+		},
 	}
 }
 
@@ -113,13 +116,11 @@ func replicaBase(key string, repeats int) (base string, ok bool) {
 // execution, behind vcabenchd's POST /units endpoint. The unit runs on
 // a fork seeded from (tb seed, key) exactly as a local campaign run
 // would, so the returned bytes decode to the same value a
-// single-machine run computes. When tb carries a store, the unit is
-// looked up before computing and persisted after, sharing the worker's
-// cache with its own campaigns and with repeated unit requests.
-//
-// Pass a fresh Testbed per call: the memo table is deliberately not
-// consulted, because renderers sort memoized samples in place and a
-// post-render encoding would drift from what a cold run persists.
+// single-machine run computes. The unit resolves through the store tier
+// (when tb carries a store) and the local tier, so the worker shares
+// its cache with its own campaigns and with repeated unit requests.
+// There is no memo tier: renderers sort memoized samples in place, and
+// a post-render encoding would drift from what a cold run persists.
 func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, error) {
 	rc, err := spec.resolve()
 	if err != nil {
@@ -148,17 +149,14 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 	if cell == nil {
 		return nil, fmt.Errorf("core: campaign %q has no cell %q", rc.name, key)
 	}
-	salt := rc.salt()
-	if v, ok := tb.storeGet(sc, salt, key); ok {
-		// Gob encoding is deterministic, so re-encoding the decoded
-		// value reproduces the stored bytes exactly.
-		return encodeCell(v)
+	out, data := tb.resolve([]string{key}, nil, tb.storeTier(sc, rc.salt()),
+		localTier(func(stb *Testbed, _ int) any { return runCell(stb, *cell, sc) }))
+	if data[0] != nil {
+		return data[0], nil
 	}
-	var v any = runCell(tb.Fork(key), *cell, sc)
-	data, err := encodeCell(v)
+	enc, err := encodeCell(out[0])
 	if err != nil {
 		return nil, fmt.Errorf("core: encode cell %q: %w", key, err)
 	}
-	tb.storePut(sc, salt, key, v)
-	return data, nil
+	return enc, nil
 }

@@ -52,9 +52,10 @@ func lagKey(sce LagScenario, kind platform.Kind) string {
 // its own fork so the result depends only on (seed, scenario, platform)
 // and never on what ran before it.
 func lagStudy(tb *Testbed, sc Scale, sce LagScenario, kind platform.Kind) *LagStudyResult {
-	res := tb.runMemoized(sc, "", []string{lagKey(sce, kind)}, nil, func(stb *Testbed, _ int) any {
-		return RunLagStudy(stb, kind, sce.Host, sce.Fleet, sc)
-	}, nil)
+	res, _ := tb.resolve([]string{lagKey(sce, kind)}, nil, memoTier, tb.storeTier(sc, ""),
+		localTier(func(stb *Testbed, _ int) any {
+			return RunLagStudy(stb, kind, sce.Host, sce.Fleet, sc)
+		}))
 	return res[0].(*LagStudyResult)
 }
 
@@ -65,9 +66,10 @@ func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario) map[platform.Kind]*LagS
 	for i, k := range platform.Kinds {
 		keys[i] = lagKey(sce, k)
 	}
-	res := tb.runMemoized(sc, "", keys, nil, func(stb *Testbed, i int) any {
-		return RunLagStudy(stb, platform.Kinds[i], sce.Host, sce.Fleet, sc)
-	}, nil)
+	res, _ := tb.resolve(keys, nil, memoTier, tb.storeTier(sc, ""),
+		localTier(func(stb *Testbed, i int) any {
+			return RunLagStudy(stb, platform.Kinds[i], sce.Host, sce.Fleet, sc)
+		}))
 	out := make(map[platform.Kind]*LagStudyResult, len(res))
 	for i, k := range platform.Kinds {
 		out[k] = res[i].(*LagStudyResult)

@@ -151,146 +151,178 @@ func (s *Scheduler) Run(units []Unit) {
 	}
 }
 
-// runMemoized is the memo-aware front of the scheduler: it returns the
-// results for keys in the given (canonical) order, running only the
-// units missing from the memo table — in parallel, each on its own
-// fork. Experiments that share a campaign (fig12/fig14/fig15 all read
-// the §4.3.1 US sweep; Figs 4-11 share four lag campaigns) hit the memo
-// on every call after the first.
-//
-// When a CellStore is attached (WithStore), a second tier sits behind
-// the memo: units found in the store are decoded instead of computed,
-// and freshly computed units are persisted — so the sharing extends
-// across processes. sc and salt scope the persisted keys (see cellKey);
-// they never influence in-memory behaviour.
-//
-// remote, when non-nil, is a third tier between the store and local
-// compute (see dispatch.go): every still-missing unit is offered to the
-// worker fleet concurrently, and only the units the fleet cannot serve
-// reach the local scheduler — so a dead or shrinking fleet degrades to
-// plain local execution, never to a failed or divergent campaign.
-//
-// parents, when non-nil, maps unit keys to their enclosing trace span
-// (the cell or replica envelope RunCampaign opened); every unit then
-// records a span tree — unit → {memo, store, dispatch, local-run} —
-// ending at whichever tier served it. Telemetry is observational only:
-// out never depends on whether it is attached.
-func (tb *Testbed) runMemoized(sc Scale, salt string, keys []string, parents map[string]obs.SpanID, run func(stb *Testbed, i int) any, remote func(key string) (any, bool)) []any {
-	tr := tb.tracer()
-	out := make([]any, len(keys))
-	var uspans []obs.SpanID
-	starts := make([]int64, len(keys))
-	if tr != nil {
-		uspans = make([]obs.SpanID, len(keys))
-	}
-	var missing []int
-	for i, k := range keys {
-		starts[i] = tb.now()
-		us := tr.Start(parents[k], obs.TierUnit, k)
-		if uspans != nil {
-			uspans[i] = us
-		}
-		ms := tr.Start(us, obs.TierMemo, k)
-		v, ok := tb.memoGet(k)
-		tr.End(ms)
-		if ok {
-			out[i] = v
-			tb.finishUnit(us, "memo", starts[i])
-			continue
-		}
-		ss := tr.Start(us, obs.TierStore, k)
-		v, ok = tb.storeGet(sc, salt, k)
-		tr.End(ss)
-		if ok {
-			out[i] = v
-			tb.memoPut(k, v)
-			tb.finishUnit(us, "store", starts[i])
-			continue
-		}
-		missing = append(missing, i)
-	}
-	if remote != nil && len(missing) > 0 {
-		missing = tb.dispatchRemote(sc, salt, keys, out, missing, remote, uspans, starts)
-	}
-	if len(missing) == 0 {
-		return out
-	}
-	units := make([]Unit, len(missing))
-	for j, i := range missing {
-		i := i
-		units[j] = Unit{Key: keys[i], Run: func(stb *Testbed) {
-			ls := tr.Start(spanAt(uspans, i), obs.TierLocalRun, keys[i])
-			if tb.em != nil {
-				tb.em.inflight.Inc()
-			}
-			out[i] = run(stb, i)
-			if tb.em != nil {
-				tb.em.inflight.Dec()
-			}
-			tr.End(ls)
-			tb.finishUnit(spanAt(uspans, i), "local", starts[i])
-		}}
-	}
-	(&Scheduler{TB: tb}).Run(units)
-	for _, i := range missing {
-		tb.memoPut(keys[i], out[i])
-		// Persist before returning: renderers sort samples in place,
-		// and the stored observation order must be the pre-render one
-		// a cold run would also see.
-		tb.storePut(sc, salt, keys[i], out[i])
-	}
-	return out
+// A tier is one place a campaign unit's result can come from: the memo
+// table, the cell store, the worker fleet or local compute. resolve
+// asks its tiers in order; each serves what it can of the units no
+// earlier tier served and passes the rest on, so a cold store or a dead
+// fleet degrades to plain local execution, never to a failed or
+// divergent campaign.
+type tier struct {
+	// span and label name the tier in telemetry: the span kind of each
+	// attempt, and the vcabench_units_total label of each unit served.
+	span, label string
+	fan         fanout
+	// get makes one attempt at unit i on stb — the unit's fork for a
+	// pool tier, the resolving testbed otherwise — returning the result
+	// and, when the tier has it, the result's canonical encoding.
+	get func(stb *Testbed, i int, key string) (v any, data []byte, ok bool)
+	// keep, when non-nil, stores a result a later tier served, so this
+	// tier serves the unit next time.
+	keep func(r *resolution, i int)
 }
 
-// dispatchRemote fans the missing units across the dispatcher, all at
-// once — the fleet bounds its own per-worker concurrency — filling
-// out[i] for each unit a worker served. Served units are memoized and
-// persisted exactly like locally computed ones (re-encoding a decoded
-// gob value reproduces the worker's bytes, so the coordinator's store
-// matches a single-machine run's). It returns the indices the caller
-// must compute locally, in input order.
-func (tb *Testbed) dispatchRemote(sc Scale, salt string, keys []string, out []any, missing []int, remote func(key string) (any, bool), uspans []obs.SpanID, starts []int64) []int {
+// fanout is how a tier runs its attempts.
+type fanout int
+
+const (
+	// inline tries one unit at a time on the caller's goroutine.
+	inline fanout = iota
+	// fleet tries every unit at once; the fleet bounds its own
+	// per-worker concurrency.
+	fleet
+	// pool runs units on the Scheduler pool, each on TB.Fork(key). A
+	// pool tier serves every unit it is given.
+	pool
+)
+
+// memoTier serves units this testbed already resolved. Experiments
+// that share a campaign (fig12/fig14/fig15 all read the §4.3.1 US
+// sweep; Figs 4-11 share four lag campaigns) hit it on every call after
+// the first.
+var memoTier = &tier{
+	span: obs.TierMemo, label: "memo",
+	get: func(tb *Testbed, _ int, key string) (any, []byte, bool) {
+		v, ok := tb.memoGet(key)
+		return v, nil, ok
+	},
+	keep: func(r *resolution, i int) { r.tb.memoPut(r.keys[i], r.out[i]) },
+}
+
+// localTier computes units in-process: run(stb, i) on the Scheduler
+// pool, each unit on its own fork.
+func localTier(run func(stb *Testbed, i int) any) *tier {
+	return &tier{
+		span: obs.TierLocalRun, label: "local", fan: pool,
+		get: func(stb *Testbed, i int, _ string) (any, []byte, bool) { return run(stb, i), nil, true },
+	}
+}
+
+// resolution is one pass of a batch of unit keys through the tiers.
+type resolution struct {
+	tb   *Testbed
+	keys []string
+	out  []any
+	// data holds each unit's canonical encoding when a tier had or made
+	// one: a store hit, a worker's response, a store write-back.
+	data   [][]byte
+	spans  []obs.SpanID
+	starts []int64
+	// keepers are the tiers already asked that keep results.
+	keepers []*tier
+}
+
+// resolve returns the results for keys, in order, each from the first
+// tier that serves it, and the canonical encoding of each result a tier
+// had or made (nil otherwise). Nil tiers — a store or fleet that is not
+// attached — are skipped. Every result is written back to the earlier
+// tiers that keep results before resolve returns: renderers sort
+// samples in place, and the stored observation order must be the
+// pre-render one a cold run would also see.
+//
+// parents, when non-nil, maps unit keys to their enclosing trace span
+// (the cell or replica envelope RunCampaign opened); every unit records
+// a span tree — unit → one child per tier attempted — ending at the
+// tier that served it. Telemetry is observational only: the results
+// never depend on whether it is attached.
+func (tb *Testbed) resolve(keys []string, parents map[string]obs.SpanID, tiers ...*tier) ([]any, [][]byte) {
 	tr := tb.tracer()
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		local []int
-	)
-	for _, i := range missing {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ds := tr.Start(spanAt(uspans, i), obs.TierDispatch, keys[i])
-			if tb.em != nil {
-				tb.em.inflight.Inc()
-			}
-			v, ok := remote(keys[i])
-			if tb.em != nil {
-				tb.em.inflight.Dec()
-			}
-			tr.End(ds)
-			if ok {
-				out[i] = v
-				tb.finishUnit(spanAt(uspans, i), "dispatch", starts[i])
-				return
-			}
-			mu.Lock()
-			local = append(local, i)
-			mu.Unlock()
-		}()
+	r := &resolution{
+		tb: tb, keys: keys,
+		out:    make([]any, len(keys)),
+		data:   make([][]byte, len(keys)),
+		spans:  make([]obs.SpanID, len(keys)),
+		starts: make([]int64, len(keys)),
 	}
-	wg.Wait()
-	sort.Ints(local)
-	fellBack := make(map[int]bool, len(local))
-	for _, i := range local {
-		fellBack[i] = true
+	pending := make([]int, len(keys))
+	for i, k := range keys {
+		pending[i] = i
+		r.starts[i] = tb.now()
+		r.spans[i] = tr.Start(parents[k], obs.TierUnit, k)
 	}
-	for _, i := range missing {
-		if !fellBack[i] {
-			tb.memoPut(keys[i], out[i])
-			tb.storePut(sc, salt, keys[i], out[i])
+	for _, t := range tiers {
+		if t == nil || len(pending) == 0 {
+			continue
+		}
+		pending = r.serve(t, pending)
+		if t.keep != nil {
+			r.keepers = append(r.keepers, t)
 		}
 	}
-	return local
+	return r.out, r.data
+}
+
+// serve runs t's attempts over the pending units and returns the ones
+// t could not serve, in input order.
+func (r *resolution) serve(t *tier, pending []int) []int {
+	var rest []int
+	switch t.fan {
+	case inline:
+		for _, i := range pending {
+			if !r.try(t, r.tb, i) {
+				rest = append(rest, i)
+			}
+		}
+	case fleet:
+		var (
+			wg sync.WaitGroup
+			mu sync.Mutex
+		)
+		for _, i := range pending {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !r.try(t, r.tb, i) {
+					mu.Lock()
+					rest = append(rest, i)
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		sort.Ints(rest)
+	case pool:
+		units := make([]Unit, len(pending))
+		for j, i := range pending {
+			units[j] = Unit{Key: r.keys[i], Run: func(stb *Testbed) { r.try(t, stb, i) }}
+		}
+		(&Scheduler{TB: r.tb}).Run(units)
+	}
+	return rest
+}
+
+// try makes one attempt of t at unit i under a span of t's kind, which
+// for a pool tier opens when a worker picks the unit up. On a hit it
+// records the result, finishes the unit as served by t and writes the
+// result back to the keepers.
+func (r *resolution) try(t *tier, stb *Testbed, i int) bool {
+	tb, tr := r.tb, r.tb.tracer()
+	s := tr.Start(r.spans[i], t.span, r.keys[i])
+	runs := t.fan != inline && tb.em != nil
+	if runs {
+		tb.em.inflight.Inc()
+	}
+	v, data, ok := t.get(stb, i, r.keys[i])
+	if runs {
+		tb.em.inflight.Dec()
+	}
+	tr.End(s)
+	if !ok {
+		return false
+	}
+	r.out[i], r.data[i] = v, data
+	tb.finishUnit(r.spans[i], t.label, r.starts[i])
+	for _, k := range r.keepers {
+		k.keep(r, i)
+	}
+	return true
 }

@@ -106,7 +106,7 @@ func TestSchedulerPropagatesPanic(t *testing.T) {
 	})
 }
 
-// runMemoized must compute each key once and serve repeats from the
+// resolve's memo and local tiers must compute each key once and serve repeats from the
 // memo — including under concurrent access to the memo table.
 func TestRunMemoized(t *testing.T) {
 	tb := NewTestbed(9).SetParallelism(4)
@@ -116,8 +116,8 @@ func TestRunMemoized(t *testing.T) {
 		return stb.seed
 	}
 	keys := []string{"a", "b", "c"}
-	first := tb.runMemoized(TinyScale, "", keys, nil, run, nil)
-	again := tb.runMemoized(TinyScale, "", keys, nil, run, nil)
+	first, _ := tb.resolve(keys, nil, memoTier, localTier(run))
+	again, _ := tb.resolve(keys, nil, memoTier, localTier(run))
 	if calls.Load() != int64(len(keys)) {
 		t.Errorf("ran %d units, want %d (memo miss on repeat?)", calls.Load(), len(keys))
 	}
@@ -130,7 +130,7 @@ func TestRunMemoized(t *testing.T) {
 		}
 	}
 	// Partial overlap: only the new key runs.
-	tb.runMemoized(TinyScale, "", []string{"b", "d"}, nil, run, nil)
+	tb.resolve([]string{"b", "d"}, nil, memoTier, localTier(run))
 	if calls.Load() != int64(len(keys))+1 {
 		t.Errorf("partial-overlap call ran %d total units, want %d", calls.Load(), len(keys)+1)
 	}

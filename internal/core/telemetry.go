@@ -15,7 +15,7 @@ import (
 // attached — and every hook degrades to a no-op when it is not.
 
 // unitTiers are the vcabench_units_total label values, one per tier of
-// runMemoized: memo table, cell store, remote fleet, local compute.
+// resolve's chain: memo table, cell store, remote fleet, local compute.
 var unitTiers = []string{"memo", "store", "dispatch", "local"}
 
 // engineMetrics caches the scheduler's instruments so hot paths don't
@@ -85,12 +85,4 @@ func (tb *Testbed) finishUnit(span obs.SpanID, tier string, start int64) {
 		tb.em.units.With(tier).Inc()
 		tb.em.unitSeconds.Observe(float64(tb.now()-start) / 1e9)
 	}
-}
-
-// spanAt indexes an optional span slice (nil when tracing is off).
-func spanAt(spans []obs.SpanID, i int) obs.SpanID {
-	if spans == nil {
-		return 0
-	}
-	return spans[i]
 }

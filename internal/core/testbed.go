@@ -40,9 +40,9 @@ type Testbed struct {
 	parallelism int
 
 	// memo caches campaign-unit results shared between experiments.
-	// Today runMemoized only touches it from the caller's goroutine
-	// (before dispatch and after the pool drains); the lock keeps the
-	// table safe if experiment drivers ever run concurrently.
+	// Today resolve only touches it from the caller's goroutine (before
+	// dispatch and after the pool drains); the lock keeps the table
+	// safe if experiment drivers ever run concurrently.
 	memoMu sync.Mutex
 	memo   map[string]any
 	// campaigns pins each campaign name run on this testbed to one

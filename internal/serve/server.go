@@ -16,12 +16,14 @@
 //	                             spec.json -json -` at the same scale/seed
 //	GET  /cells/{key}          → one completed cell by canonical unit key,
 //	                             at the server's default scale and seed;
-//	                             ?scale= and ?seed= select others. Within
-//	                             one (scale, seed), campaigns sharing keys
-//	                             (fig12/fig14) agree on cell contents.
-//	                             Misses fall back to the persistent store,
-//	                             so cells survive daemon restarts and job
-//	                             eviction.
+//	                             ?scale= and ?seed= select others (an
+//	                             unknown scale is a 400, as for POST
+//	                             /campaigns). Within one (scale, seed),
+//	                             campaigns sharing keys (fig12/fig14)
+//	                             agree on cell contents. The cell comes
+//	                             from a retained job that rendered it,
+//	                             else from the persistent store, so cells
+//	                             survive daemon restarts and job eviction.
 //	GET  /cells/{key}/diag     → the cell's sim-time flight-recorder
 //	                             artifact (see internal/diag), when the
 //	                             server runs with Config.Diagnostics;
@@ -34,9 +36,10 @@
 //	                             execution: a cluster.Pool coordinator
 //	                             shards a campaign's unit keys across a
 //	                             fleet of these endpoints (see
-//	                             internal/cluster), and the worker's
-//	                             persistent store makes repeated cells
-//	                             free.
+//	                             internal/cluster). The unit resolves
+//	                             through the engine's store and local
+//	                             tiers, so the worker's persistent store
+//	                             makes repeated cells free.
 //	GET  /healthz              → liveness plus store statistics
 //
 // Campaign IDs are content-derived — SHA-256 over (resolved spec, scale,
@@ -81,10 +84,10 @@ type Config struct {
 	// directory).
 	Store core.CellStore
 	// MaxJobs bounds retained finished jobs (0 = DefaultMaxJobs).
-	// Beyond it the oldest finished job — result document and its
-	// cells-index entries — is dropped; resubmitting its spec re-runs
-	// it, served warm from the store. Queued and running jobs are
-	// never evicted.
+	// Beyond it the oldest-submitted finished job — its result and
+	// rendered cell documents — is dropped; its cells stay servable from
+	// Store, and resubmitting its spec re-runs it warm from there.
+	// Queued and running jobs are never evicted.
 	MaxJobs int
 	// Telemetry, when set with a registry, mounts GET /metrics on the
 	// handler, exports job and unit counters, and attaches the bundle
@@ -102,9 +105,10 @@ type Config struct {
 }
 
 // DefaultMaxJobs bounds retained finished jobs when Config.MaxJobs is
-// unset. Results and cell indexes live in memory; without a bound,
-// clients sweeping seeds or scales would grow the daemon without limit
-// even though the persistent store already holds every cell on disk.
+// unset. Each job keeps its result and cell documents in memory;
+// without a bound, clients sweeping seeds or scales would grow the
+// daemon without limit even though the persistent store already holds
+// every cell on disk.
 const DefaultMaxJobs = 256
 
 // Server executes submitted campaigns and serves their results.
@@ -120,18 +124,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	nextSeq  uint64            // submission number of the next new job
-	finished []*job            // finished jobs, oldest submission first
-	cells    map[string][]byte // scoped cell key → CellResult JSON
-	cellRefs map[string]int    // retained jobs referencing each key
-	diags    map[string][]byte // scoped cell key → CellDiag JSON artifact
-}
-
-// cellIndexKey scopes the /cells index: the same unit key holds
-// different values at different scales or seeds, so the bare key would
-// let one client's seed override silently shadow another's cells.
-func cellIndexKey(scaleName string, seed int64, unitKey string) string {
-	return fmt.Sprintf("%s/%d/%s", scaleName, seed, unitKey)
+	nextSeq  uint64 // submission number of the next new job
+	finished []*job // finished jobs, oldest submission first
 }
 
 // job is one submitted campaign execution.
@@ -143,12 +137,15 @@ type job struct {
 	seed      int64
 	spec      core.Campaign
 
-	status   string // "queued" | "running" | "done" | "failed"
-	errMsg   string
-	result   []byte // WriteJSON bytes of the CampaignResult
-	cells    int
-	cellKeys []string      // keys this job contributed to the cells index
-	done     chan struct{} // closed on done/failed
+	status string // "queued" | "running" | "done" | "failed"
+	errMsg string
+	result []byte // WriteJSON bytes of the CampaignResult
+	cells  int
+	// docs holds the job's rendered cell JSON and CellDiag artifacts
+	// under their store keys (core.ServeCellKey, core.ServeDiagKey),
+	// which scope them by scale and seed.
+	docs map[string][]byte
+	done chan struct{} // closed on done/failed
 }
 
 // New creates a Server. The zero Config is usable: seed 0, quick scale
@@ -167,12 +164,9 @@ func New(cfg Config) *Server {
 		cfg.MaxJobs = DefaultMaxJobs
 	}
 	s := &Server{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.MaxRuns),
-		jobs:     make(map[string]*job),
-		cells:    make(map[string][]byte),
-		cellRefs: make(map[string]int),
-		diags:    make(map[string][]byte),
+		cfg:  cfg,
+		sem:  make(chan struct{}, cfg.MaxRuns),
+		jobs: make(map[string]*job),
 	}
 	if cfg.Telemetry != nil && cfg.Telemetry.Metrics != nil {
 		s.tel = cfg.Telemetry
@@ -278,18 +272,28 @@ func (s *Server) resolveSubmission(rawSpec json.RawMessage, scaleName string, se
 	if err != nil {
 		return core.Campaign{}, core.Scale{}, 0, err
 	}
-	sc := s.cfg.Scale
-	if scaleName != "" {
-		var ok bool
-		if sc, ok = core.ScaleByName(scaleName); !ok {
-			return core.Campaign{}, core.Scale{}, 0, fmt.Errorf("unknown scale %q (want tiny, quick or paper)", scaleName)
-		}
+	sc, err := s.scaleNamed(scaleName)
+	if err != nil {
+		return core.Campaign{}, core.Scale{}, 0, err
 	}
 	sd := s.cfg.Seed
 	if seed != nil {
 		sd = *seed
 	}
 	return spec, sc, sd, nil
+}
+
+// scaleNamed resolves a request's scale name; "" selects the daemon's
+// default. Errors map to 400.
+func (s *Server) scaleNamed(name string) (core.Scale, error) {
+	if name == "" {
+		return s.cfg.Scale, nil
+	}
+	sc, ok := core.ScaleByName(name)
+	if !ok {
+		return core.Scale{}, fmt.Errorf("unknown scale %q (want tiny, quick or paper)", name)
+	}
+	return sc, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -393,50 +397,37 @@ func (s *Server) run(j *job, sc core.Scale) {
 		return
 	}
 
-	type cellDoc struct {
-		unitKey string
-		data    []byte
+	// Persist each rendered document before the job turns "done": once
+	// a poller sees the terminal status, every cell must be servable —
+	// from the job while it is retained, from the store after a restart
+	// or eviction. Deterministic documents make the write idempotent,
+	// so an already-present one (a warm rerun, or a sibling campaign
+	// sharing the key) is left alone — the Get costs a small read
+	// (absorbed by the store's LRU) but preserves the invariant that
+	// warm reruns perform zero Puts; failed Puts only narrow the
+	// fallback.
+	docs := make(map[string][]byte)
+	keep := func(key string, data []byte) {
+		docs[key] = data
+		if s.cfg.Store != nil {
+			if _, ok := s.cfg.Store.Get(key); !ok {
+				s.cfg.Store.Put(key, data)
+			}
+		}
 	}
-	var docs []cellDoc
 	for i := range res.Cells {
 		c := &res.Cells[i]
 		var cb bytes.Buffer
 		if report.WriteJSON(&cb, c) == nil {
-			docs = append(docs, cellDoc{unitKey: c.Key, data: cb.Bytes()})
+			keep(core.ServeCellKey(j.scaleName, j.seed, c.Key), cb.Bytes())
 		}
 	}
-	// Flight-recorder documents ride alongside the rendered cells:
-	// same scoping, same eviction, served at GET /cells/{key}/diag.
-	var diagDocs []cellDoc
+	// Flight-recorder documents ride alongside the rendered cells. A
+	// replicated campaign's are keyed per replica ("<cellKey>/rep=K").
 	if s.cfg.Diagnostics {
 		for _, d := range tb.DiagResults() {
 			if data, err := diag.Encode(d); err == nil {
-				diagDocs = append(diagDocs, cellDoc{unitKey: d.Key, data: data})
-			}
-		}
-	}
-	// Persist the rendered cells before the job turns "done": once a
-	// poller sees the terminal status, every cell must be servable —
-	// from memory while the job is retained, from the store after a
-	// restart or eviction. Deterministic cells make the write
-	// idempotent, so an already-present document (a warm rerun, or a
-	// sibling campaign sharing the key) is left alone — the Get costs
-	// a small read (absorbed by the store's LRU) but preserves the
-	// invariant that warm reruns perform zero Puts; failed Puts only
-	// narrow the fallback.
-	if s.cfg.Store != nil {
-		for _, d := range docs {
-			key := core.ServeCellKey(j.scaleName, j.seed, d.unitKey)
-			if _, ok := s.cfg.Store.Get(key); !ok {
-				s.cfg.Store.Put(key, d.data)
-			}
-		}
-		// Diag artifacts are as deterministic as the cells, so the same
-		// Get-before-Put idempotence applies.
-		for _, d := range diagDocs {
-			key := core.ServeDiagKey(j.scaleName, j.seed, d.unitKey)
-			if _, ok := s.cfg.Store.Get(key); !ok {
-				s.cfg.Store.Put(key, d.data)
+				keep(core.ServeDiagKey(j.scaleName, j.seed, d.Key), data)
 			}
 		}
 	}
@@ -445,47 +436,23 @@ func (s *Server) run(j *job, sc core.Scale) {
 	j.status = "done"
 	j.result = buf.Bytes()
 	j.cells = len(res.Cells)
-	for _, d := range docs {
-		ck := cellIndexKey(j.scaleName, j.seed, d.unitKey)
-		s.cells[ck] = d.data
-		s.cellRefs[ck]++
-		j.cellKeys = append(j.cellKeys, ck)
-	}
-	for _, d := range diagDocs {
-		// Diag entries ride the same refcounted eviction as cells. They
-		// need their own counts: a replicated campaign's diag documents
-		// are keyed per replica ("<cellKey>/rep=K"), which never appears
-		// in the cells index.
-		ck := cellIndexKey(j.scaleName, j.seed, d.unitKey)
-		s.diags[ck] = d.data
-		s.cellRefs[ck]++
-		j.cellKeys = append(j.cellKeys, ck)
-	}
+	j.docs = docs
 	s.finish(j)
 	s.mu.Unlock()
 	close(j.done)
 }
 
 // finish records a terminal job and evicts the oldest-submitted
-// finished jobs beyond MaxJobs — result documents and cell-index entries
-// are dropped (the persistent store still holds every computed cell, so
-// a resubmission re-runs warm). Concurrent jobs finish in any order, so
-// eviction follows submission order, never completion order. Caller
-// holds s.mu.
+// finished jobs beyond MaxJobs, documents and all (the persistent store
+// still holds every computed cell, so a resubmission re-runs warm).
+// Concurrent jobs finish in any order, so eviction follows submission
+// order, never completion order. Caller holds s.mu.
 func (s *Server) finish(j *job) {
 	i := sort.Search(len(s.finished), func(i int) bool { return s.finished[i].seq > j.seq })
 	s.finished = slices.Insert(s.finished, i, j)
 	for len(s.finished) > s.cfg.MaxJobs {
-		old := s.finished[0]
+		delete(s.jobs, s.finished[0].id)
 		s.finished = s.finished[1:]
-		for _, key := range old.cellKeys {
-			if s.cellRefs[key]--; s.cellRefs[key] <= 0 {
-				delete(s.cellRefs, key)
-				delete(s.cells, key)
-				delete(s.diags, key)
-			}
-		}
-		delete(s.jobs, old.id)
 	}
 }
 
@@ -536,77 +503,49 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleCell serves GET /cells/{key} and GET /cells/{key}/diag at the
+// request's scale and seed: from the oldest-submitted retained job that
+// rendered the document, else from the store, which holds every
+// document this daemon (or a predecessor sharing the cache directory)
+// ever finished. Within one scale and seed, jobs sharing a key agree on
+// its bytes, so the search order never shows.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	// The {key...} wildcard swallows the whole remaining path, so the
-	// /cells/{key}/diag route is dispatched here by suffix: a trailing
-	// "/diag" selects the cell's flight-recorder artifact instead of
-	// its result JSON.
-	if base, ok := strings.CutSuffix(key, "/diag"); ok && base != "" {
-		s.serveCellDiag(w, r, base)
+	sc, err := s.scaleNamed(r.URL.Query().Get("scale"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	scaleName, seed, ok := s.cellScope(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	data, ok := s.cells[cellIndexKey(scaleName, seed, key)]
-	s.mu.Unlock()
-	if !ok && s.cfg.Store != nil {
-		// The in-memory index only spans retained jobs; the store holds
-		// every cell this daemon (or a predecessor sharing the cache
-		// directory) ever finished.
-		data, ok = s.cfg.Store.Get(core.ServeCellKey(scaleName, seed, key))
-	}
-	if !ok {
-		httpError(w, http.StatusNotFound,
-			"no completed cell %q at scale=%s seed=%d (cells appear once their campaign finishes; ?scale=/?seed= select non-default runs)",
-			key, scaleName, seed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
-}
-
-// cellScope resolves the (scale, seed) query parameters shared by the
-// /cells result and diag lookups, writing the 400 itself on a bad seed.
-func (s *Server) cellScope(w http.ResponseWriter, r *http.Request) (scaleName string, seed int64, ok bool) {
-	scaleName = s.cfg.Scale.Name
-	if q := r.URL.Query().Get("scale"); q != "" {
-		scaleName = q
-	}
-	seed = s.cfg.Seed
+	seed := s.cfg.Seed
 	if q := r.URL.Query().Get("seed"); q != "" {
-		v, err := strconv.ParseInt(q, 10, 64)
-		if err != nil {
+		if seed, err = strconv.ParseInt(q, 10, 64); err != nil {
 			httpError(w, http.StatusBadRequest, "bad seed %q", q)
-			return "", 0, false
+			return
 		}
-		seed = v
 	}
-	return scaleName, seed, true
-}
-
-// serveCellDiag serves GET /cells/{key}/diag: the cell's flight-recorder
-// artifact, exactly the bytes `vcabench -diag-out` writes for the same
-// cell. Like result lookups, misses fall back to the persistent store's
-// servediag/ namespace.
-func (s *Server) serveCellDiag(w http.ResponseWriter, r *http.Request, key string) {
-	scaleName, seed, ok := s.cellScope(w, r)
-	if !ok {
-		return
+	key := r.PathValue("key")
+	docKey := core.ServeCellKey(sc.Name, seed, key)
+	missing := "no completed cell %q at scale=%s seed=%d (cells appear once their campaign finishes; ?scale=/?seed= select non-default runs)"
+	// The {key...} wildcard swallows the whole remaining path, so a
+	// trailing "/diag" selects the cell's flight-recorder artifact —
+	// exactly the bytes `vcabench -diag-out` writes for the same cell.
+	if base, ok := strings.CutSuffix(key, "/diag"); ok && base != "" {
+		key, docKey = base, core.ServeDiagKey(sc.Name, seed, base)
+		missing = "no diagnostics for cell %q at scale=%s seed=%d (the daemon must run with -diag, and the cell's campaign must have finished)"
 	}
+	var data []byte
+	ok := false
 	s.mu.Lock()
-	data, ok := s.diags[cellIndexKey(scaleName, seed, key)]
+	for _, j := range s.finished {
+		if data, ok = j.docs[docKey]; ok {
+			break
+		}
+	}
 	s.mu.Unlock()
 	if !ok && s.cfg.Store != nil {
-		data, ok = s.cfg.Store.Get(core.ServeDiagKey(scaleName, seed, key))
+		data, ok = s.cfg.Store.Get(docKey)
 	}
 	if !ok {
-		httpError(w, http.StatusNotFound,
-			"no diagnostics for cell %q at scale=%s seed=%d (the daemon must run with -diag, and the cell's campaign must have finished)",
-			key, scaleName, seed)
+		httpError(w, http.StatusNotFound, missing, key, sc.Name, seed)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -632,7 +571,7 @@ type unitRequest struct {
 // semaphore, so a fleet coordinator cannot oversubscribe a worker that
 // is also serving whole campaigns; the per-request testbed shares the
 // persistent store, so repeated cells (any coordinator, any campaign,
-// this daemon's own jobs) cost one disk read.
+// this daemon's own jobs) cost one store read.
 func (s *Server) handleUnit(w http.ResponseWriter, r *http.Request) {
 	var req unitRequest
 	dec := json.NewDecoder(r.Body)

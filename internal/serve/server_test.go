@@ -231,6 +231,17 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// GET /cells validates ?scale= by the rule POST /campaigns uses: an
+// unknown scale is a bad request, not a missing cell.
+func TestServeCellRejectsUnknownScale(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, path := range []string{"/cells/svc?scale=bogus", "/cells/svc/diag?scale=bogus", "/cells/svc?seed=x"} {
+		if code, body := get(t, ts, path); code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d %s, want 400", path, code, body)
+		}
+	}
+}
+
 func TestServeHealthz(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -385,14 +396,26 @@ func TestServeCellStoreFallbackAfterEviction(t *testing.T) {
 	}
 }
 
-// Satellite: finish() refcounting. Two jobs share a cell key (same
-// spec modulo description — descriptions change the job id but not
-// unit keys or cell bytes); evicting one must keep the shared cell
-// served and must not leak refcount entries.
+// Eviction and shared cells. Two jobs share a cell key (same spec
+// modulo description — descriptions change the job id but not unit
+// keys or cell bytes); evicting one must keep the shared cell served,
+// and evicting both must drop it from a daemon without a store, while
+// the job table stays bounded at MaxJobs.
 func TestServeFinishEvictionRefcounting(t *testing.T) {
 	srv := New(Config{Scale: core.TinyScale, Seed: 42, MaxJobs: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	retained := func(want int) {
+		t.Helper()
+		_, body := get(t, ts, "/healthz")
+		var h health
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Jobs != want {
+			t.Errorf("healthz jobs = %d, want %d", h.Jobs, want)
+		}
+	}
 
 	a := submit(t, ts, `{"spec": `+testSpec+`}`)
 	b := submit(t, ts, `{"spec": {"name": "svc", "platforms": ["zoom"], "description": "twin"}}`)
@@ -401,15 +424,13 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 	}
 	poll(t, ts, a.ID)
 	poll(t, ts, b.ID)
-
-	srv.mu.Lock()
-	if got := srv.cellRefs[cellIndexKey("tiny", 42, "svc")]; got != 2 {
-		t.Errorf("shared cell refcount = %d, want 2", got)
+	retained(2)
+	if code, _ := get(t, ts, "/cells/svc"); code != http.StatusOK {
+		t.Errorf("shared cell not served while both sharers are retained: %d", code)
 	}
-	srv.mu.Unlock()
 
 	// A third job (distinct seed) evicts job a; the shared cell must
-	// survive with refcount 1.
+	// survive through job b.
 	c := submit(t, ts, `{"spec": `+testSpec+`, "seed": 7}`)
 	poll(t, ts, c.ID)
 	if code, _ := get(t, ts, "/campaigns/"+a.ID); code != http.StatusNotFound {
@@ -418,33 +439,20 @@ func TestServeFinishEvictionRefcounting(t *testing.T) {
 	if code, _ := get(t, ts, "/cells/svc"); code != http.StatusOK {
 		t.Error("cell shared with a retained job was dropped on eviction")
 	}
-	srv.mu.Lock()
-	if got := srv.cellRefs[cellIndexKey("tiny", 42, "svc")]; got != 1 {
-		t.Errorf("refcount after evicting one sharer = %d, want 1", got)
-	}
-	srv.mu.Unlock()
+	retained(2)
 
-	// Evict the remaining sharer too: the cell and its refcount entry
-	// must both disappear — a leaked entry here grows forever in a
-	// long-lived daemon.
+	// Evict the remaining sharer too: the cell must disappear, and the
+	// job table must not grow past MaxJobs — anything retained beyond
+	// it grows forever in a long-lived daemon.
 	d := submit(t, ts, `{"spec": `+testSpec+`, "seed": 8}`)
 	poll(t, ts, d.ID)
+	if code, _ := get(t, ts, "/campaigns/"+b.ID); code != http.StatusNotFound {
+		t.Errorf("second sharer not evicted: %d", code)
+	}
 	if code, _ := get(t, ts, "/cells/svc"); code != http.StatusNotFound {
 		t.Error("cell with no retaining jobs still served")
 	}
-	srv.mu.Lock()
-	if n := len(srv.cellRefs); n != len(srv.cells) {
-		t.Errorf("cellRefs has %d entries, cells has %d — refcount map leaking", n, len(srv.cells))
-	}
-	for ck, n := range srv.cellRefs {
-		if n <= 0 {
-			t.Errorf("leaked zero refcount for %q", ck)
-		}
-	}
-	if _, ok := srv.cellRefs[cellIndexKey("tiny", 42, "svc")]; ok {
-		t.Error("evicted cell's refcount entry leaked")
-	}
-	srv.mu.Unlock()
+	retained(2)
 }
 
 // gatedStore is an in-memory CellStore whose Get of one key blocks
@@ -577,9 +585,9 @@ func TestServeBoundedConcurrency(t *testing.T) {
 	}
 }
 
-// Finished jobs beyond MaxJobs are evicted — result and cell index —
+// Finished jobs beyond MaxJobs are evicted — result and cell documents —
 // while newer jobs keep serving; shared cell keys survive as long as a
-// retained job references them.
+// retained job holds them.
 func TestServeEvictsOldFinishedJobs(t *testing.T) {
 	ts := newTestServer(t, Config{MaxJobs: 2})
 	var ids []string

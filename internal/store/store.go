@@ -256,28 +256,31 @@ func (s *Store) count(f func(*Stats)) {
 	s.mu.Unlock()
 }
 
-// admit inserts (or refreshes) an LRU entry and evicts from the cold
-// end until the front fits its byte bound. Caller holds s.mu.
+// admit installs data as the key's LRU entry, replacing any older one,
+// and evicts from the cold end until the front fits its byte bound. A
+// payload too large for the front bypasses it; the older entry is
+// still dropped, so later Gets cannot serve stale bytes. Caller holds
+// s.mu.
 func (s *Store) admit(key string, data []byte) {
+	if el, ok := s.idx[key]; ok {
+		s.drop(el)
+	}
 	if int64(len(data)) > s.lruBytes {
 		return
 	}
-	if el, ok := s.idx[key]; ok {
-		ent := el.Value.(*lruEntry)
-		s.curBytes += int64(len(data)) - int64(len(ent.data))
-		ent.data = data
-		s.lru.MoveToFront(el)
-	} else {
-		s.idx[key] = s.lru.PushFront(&lruEntry{key: key, data: data})
-		s.curBytes += int64(len(data))
-	}
+	s.idx[key] = s.lru.PushFront(&lruEntry{key: key, data: data})
+	s.curBytes += int64(len(data))
 	for s.curBytes > s.lruBytes {
-		el := s.lru.Back()
-		ent := el.Value.(*lruEntry)
-		s.lru.Remove(el)
-		delete(s.idx, ent.key)
-		s.curBytes -= int64(len(ent.data))
+		s.drop(s.lru.Back())
 	}
+}
+
+// drop removes one LRU entry. Caller holds s.mu.
+func (s *Store) drop(el *list.Element) {
+	ent := el.Value.(*lruEntry)
+	s.lru.Remove(el)
+	delete(s.idx, ent.key)
+	s.curBytes -= int64(len(ent.data))
 }
 
 // frame wraps a payload for disk: magic, key, payload, then a SHA-256

@@ -190,6 +190,28 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 }
 
+// Overwriting a key with a payload too large for the memory front
+// must not leave the older, smaller payload there to be served.
+func TestStoreOversizedPutReplacesFrontEntry(t *testing.T) {
+	s, err := OpenOptions(t.TempDir(), Options{LRUBytes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("new-and-longer-than-eight")
+	if err := s.Put("k", want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("k"); !ok || !bytes.Equal(got, want) {
+		t.Errorf("Get = %q, %v; want %q", got, ok, want)
+	}
+	if s.curBytes != 0 {
+		t.Errorf("front holds %d bytes after its only entry was replaced", s.curBytes)
+	}
+}
+
 func TestStoreConcurrentAccess(t *testing.T) {
 	s, err := OpenOptions(t.TempDir(), Options{LRUBytes: 256})
 	if err != nil {

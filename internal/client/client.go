@@ -263,14 +263,8 @@ func (c *Client) Reset() {
 // SentVideo returns the sender-side encoded-frame log.
 func (c *Client) SentVideo() []codec.EncodedFrame { return c.sent }
 
-// SentAudio returns the sender-side audio-frame log.
-func (c *Client) SentAudio() []codec.AudioFrame { return c.sentAu }
-
 // ReceivedVideo returns frames that arrived complete, by sender frame seq.
 func (c *Client) ReceivedVideo() map[int]*codec.EncodedFrame { return c.gotVid }
-
-// ReceiveStats returns the reassembler's counters.
-func (c *Client) ReceiveStats() rtp.Stats { return c.reasm.StatsSnapshot() }
 
 // Trace returns the client's packet capture.
 func (c *Client) Trace() *capture.Trace { return c.Monitor.Trace() }

@@ -9,29 +9,23 @@ import (
 	"github.com/vcabench/vcabench/internal/report"
 )
 
-// lagPair runs an ablation's two arms — baseline and counterfactual —
-// as a scheduled unit pair with the same study geometry. Each arm runs
-// on its own fork (keyed keyA/keyB, so shard seeds are stable) and the
-// counterfactual applies cfg to its shard before measuring.
-func lagPair(tb *Testbed, sc Scale, keyA, keyB string, kind platform.Kind,
-	host geo.Region, fleet []geo.Region, cfg platform.Config) (baseline, counter *LagStudyResult) {
-	(&Scheduler{TB: tb}).Run([]Unit{
-		{Key: keyA, Run: func(stb *Testbed) {
-			baseline = RunLagStudy(stb, kind, host, fleet, sc)
-		}},
-		{Key: keyB, Run: func(stb *Testbed) {
-			stb.OverridePlatform(cfg)
-			counter = RunLagStudy(stb, kind, host, fleet, sc)
-		}},
-	})
-	return baseline, counter
+// arms builds an ablation's two lag units with the same study geometry:
+// the baseline on stock platforms, keyed id/base, and the
+// counterfactual, keyed id/counter, which applies cfg on its own fork.
+// Both resolve like any other lag unit: memoized, stored, traced and
+// counted.
+func arms(id, base, counter string, host geo.Region, fleet []geo.Region, cfg platform.Config) []lagUnit {
+	return []lagUnit{
+		{key: id + "/" + base, kind: cfg.Kind, host: host, fleet: fleet},
+		{key: id + "/" + counter, kind: cfg.Kind, host: host, fleet: fleet, override: &cfg},
+	}
 }
 
 // ablations are design-choice benches beyond the paper: each flips one
 // inferred infrastructure property and re-measures, confirming that the
 // paper's observations are consequences of that property. The baseline
-// and counterfactual arms are independent campaign units scheduled in
-// parallel via lagPair.
+// and counterfactual arms are independent lag units resolved as one
+// batch, so they compute in parallel.
 func ablations() []Experiment {
 	return []Experiment{
 		{
@@ -43,8 +37,8 @@ func ablations() []Experiment {
 				cfg.PaidTier = true
 				cfg.USPoPs = []geo.Region{geo.PoPUSEast, geo.PoPUSCentral, geo.PoPUSWest}
 				cfg.EUPoPs = []geo.Region{geo.PoPEUWest, geo.PoPEUCentral, geo.PoPEUNorth}
-				free, paid := lagPair(tb, sc, "ablate-webex-geo/free", "ablate-webex-geo/paid",
-					platform.Webex, geo.CH, EULagFleet(geo.CH), cfg)
+				res := lagStudies(tb, sc, arms("ablate-webex-geo", "free", "paid", geo.CH, EULagFleet(geo.CH), cfg)...)
+				free, paid := res[0], res[1]
 
 				t := report.Table{
 					Title:  "ablation: Webex free vs paid tier, host CH",
@@ -66,8 +60,8 @@ func ablations() []Experiment {
 				cfg := platform.DefaultConfig(platform.Meet)
 				cfg.PerClientEndpoints = false
 				cfg.EUPoPs = nil // US-only footprint, single session relay
-				normal, single := lagPair(tb, sc, "ablate-meet-single/per-client", "ablate-meet-single/single-relay",
-					platform.Meet, geo.CH, EULagFleet(geo.CH), cfg)
+				res := lagStudies(tb, sc, arms("ablate-meet-single", "per-client", "single-relay", geo.CH, EULagFleet(geo.CH), cfg)...)
+				normal, single := res[0], res[1]
 
 				t := report.Table{
 					Title:  "ablation: Meet per-client endpoints vs single US relay, host CH",
@@ -86,8 +80,8 @@ func ablations() []Experiment {
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
 				cfg := platform.DefaultConfig(platform.Zoom)
 				cfg.RegionalLB = false // always the nearest US PoP
-				normal, nolb := lagPair(tb, sc, "ablate-zoom-nolb/lb", "ablate-zoom-nolb/nolb",
-					platform.Zoom, geo.CH, EULagFleet(geo.CH), cfg)
+				res := lagStudies(tb, sc, arms("ablate-zoom-nolb", "lb", "nolb", geo.CH, EULagFleet(geo.CH), cfg)...)
+				normal, nolb := res[0], res[1]
 
 				t := report.Table{
 					Title:  "ablation: Zoom RTT spread with/without regional LB, host CH",
@@ -109,8 +103,8 @@ func ablations() []Experiment {
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
 				cfg := platform.DefaultConfig(platform.Zoom)
 				cfg.P2PWhenPair = false
-				normal, relay := lagPair(tb, sc, "ablate-p2p/p2p", "ablate-p2p/relay",
-					platform.Zoom, geo.USEast, []geo.Region{geo.USWest}, cfg)
+				res := lagStudies(tb, sc, arms("ablate-p2p", "p2p", "relay", geo.USEast, []geo.Region{geo.USWest}, cfg)...)
+				normal, relay := res[0], res[1]
 
 				t := report.Table{
 					Title:  "ablation: Zoom two-party P2P vs forced relay (host US-East, peer US-West)",

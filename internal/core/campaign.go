@@ -24,7 +24,7 @@ import (
 // session sizes × network conditions, and this engine makes those
 // sweeps *data* instead of code. A Campaign declares one value list per
 // axis; the engine expands the cross product into canonical-keyed
-// units, shards them through the scheduler (scheduler.go), and
+// units, resolves them through the tier chain (scheduler.go), and
 // aggregates typed, JSON-encodable results. The Figs 12-18 sweeps, the
 // §6 extensions and Table 1's measured columns all run on it, as do
 // arbitrary grids the paper never measured (see examples/campaign).
@@ -746,8 +746,9 @@ func replicatedMetric(samples []*stats.Sample) *Metric {
 }
 
 // metricSlots pairs each QoE signal's sample with its Metric field on
-// CellResult and CellReplica, so replication aggregates every signal
-// through one loop instead of seven hand-written blocks.
+// CellResult and CellReplica, so single-run summaries and replication
+// cover every signal through one loop instead of seven hand-written
+// blocks.
 var metricSlots = []struct {
 	sample func(*QoEStudyResult) *stats.Sample
 	cell   func(*CellResult) **Metric
@@ -909,10 +910,10 @@ func (r *CampaignResult) mustCell(key string) *CellResult {
 	return c
 }
 
-// RunCampaign expands the spec and executes every unit through the
-// memo-aware scheduler: each unit runs on a testbed forked from its
-// canonical key, so results depend only on (seed, key) and campaigns
-// sharing cell keys (fig12/fig14/fig15) share computed units. A
+// RunCampaign expands the spec and resolves every unit through the
+// tier chain: each unit runs on a testbed forked from its canonical
+// key, so results depend only on (seed, key) and campaigns sharing
+// cell keys (fig12/fig14/fig15) share computed units. A
 // replicated campaign (Repeats > 1) schedules Repeats independent
 // replica units per cell — fanned across workers and persisted in the
 // store exactly like cells — and aggregates them into each CellResult.
@@ -961,11 +962,11 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 	}
 	// The remote tier (nil without a dispatcher) offers units the memo
 	// and store don't hold to the worker fleet; unserved units fall
-	// back to the local scheduler below, so fleet topology and failures
+	// back to the local tier below, so fleet topology and failures
 	// never reach the merged result. Unit i belongs to cell i/reps
 	// (cell-major key layout); the cell's axes are shared by all its
 	// replicas while the per-unit key alone differentiates their seeds.
-	res, _ := tb.resolve(keys, parents, memoTier, tb.storeTier(sc, rc.salt()), tb.remoteTier(spec, sc),
+	res, _ := tb.resolve(keys, parents, tb.memoTier(sc), tb.storeTier(sc, oneSalt(rc.salt())), tb.remoteTier(spec, sc),
 		localTier(func(stb *Testbed, i int) any {
 			return runCell(stb, cells[i/reps], sc)
 		}))
@@ -994,13 +995,9 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 		}
 		if reps == 1 {
 			q := res[i].(*QoEStudyResult)
-			cr.PSNR = metricOf(q.PSNR)
-			cr.SSIM = metricOf(q.SSIM)
-			cr.VIFP = metricOf(q.VIFP)
-			cr.Freeze = metricOf(q.Freeze)
-			cr.UpMbps = metricOf(q.UpMbps)
-			cr.DownMbps = metricOf(q.DownMbps)
-			cr.MOS = metricOf(q.MOS)
+			for _, slot := range metricSlots {
+				*slot.cell(&cr) = metricOf(slot.sample(q))
+			}
 			cr.RateOverTime = ratePoints(q)
 			cr.Raw = q
 			if q.Diag != nil {

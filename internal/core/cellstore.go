@@ -87,7 +87,9 @@ func scaleFingerprint(sc Scale) string {
 
 // overridesFingerprint captures the platform overrides that Fork copies
 // into every unit's testbed. Overrides change results under unchanged
-// unit keys (the ablation mechanism), so they must key the store too.
+// unit keys, so they must key the store too; an ablation's
+// counterfactual arm, which overrides on its own fork, salts its cell
+// with overrideSalt for the same reason.
 func (tb *Testbed) overridesFingerprint() string {
 	if len(tb.overrides) == 0 {
 		return "stock"
@@ -143,18 +145,29 @@ func decodeCell(data []byte) (any, error) {
 	return v, nil
 }
 
+// oneSalt is the salt function of a batch whose units all share salt.
+func oneSalt(salt string) func(int) string { return func(int) string { return salt } }
+
+// overrideSalt salts the cell of a unit that applies cfg on its own
+// fork, so an edited override misses the store instead of serving a
+// cell computed under the old one.
+func overrideSalt(cfg platform.Config) string {
+	return "override-" + fingerprint(fmt.Sprintf("%+v", cfg))
+}
+
 // storeTier serves units from the attached cell store, and keeps every
 // result a later tier served, so the sharing extends across processes;
-// nil when no store is attached. sc and salt scope the persisted keys
-// (see cellKey); they never influence in-memory behaviour.
-func (tb *Testbed) storeTier(sc Scale, salt string) *tier {
+// nil when no store is attached. sc and salt(i), unit i's salt, scope
+// the persisted keys (see cellKey); they never influence in-memory
+// behaviour.
+func (tb *Testbed) storeTier(sc Scale, salt func(i int) string) *tier {
 	if tb.store == nil {
 		return nil
 	}
 	return &tier{
 		span: obs.TierStore, label: "store",
-		get: func(_ *Testbed, _ int, key string) (any, []byte, bool) {
-			data, ok := tb.store.Get(tb.cellKey(sc, salt, key))
+		get: func(_ *Testbed, i int, key string) (any, []byte, bool) {
+			data, ok := tb.store.Get(tb.cellKey(sc, salt(i), key))
 			if !ok {
 				return nil, nil, false
 			}
@@ -175,7 +188,7 @@ func (tb *Testbed) storeTier(sc Scale, salt string) *tier {
 				r.data[i], err = encodeCell(r.out[i])
 			}
 			if err == nil {
-				err = tb.store.Put(tb.cellKey(sc, salt, r.keys[i]), r.data[i])
+				err = tb.store.Put(tb.cellKey(sc, salt(i), r.keys[i]), r.data[i])
 			}
 			if err != nil {
 				// Persistence is an optimization: record the first

@@ -89,18 +89,18 @@ func TestEULagPlatformGap(t *testing.T) {
 func TestEndpointChurn(t *testing.T) {
 	tb := NewTestbed(45)
 	sce := LagScenarios()[0]
-	zoom := lagStudy(tb, TinyScale, sce, platform.Zoom)
+	zoom := lagStudies(tb, TinyScale, sce.unit(platform.Zoom))[0]
 	if zoom.Endpoints.PerSession != 1 || zoom.Endpoints.Total != TinyScale.LagSessions {
 		t.Errorf("zoom endpoints: %+v", zoom.Endpoints)
 	}
-	meet := lagStudy(tb, TinyScale, sce, platform.Meet)
+	meet := lagStudies(tb, TinyScale, sce.unit(platform.Meet))[0]
 	if meet.Endpoints.Total > 2 {
 		t.Errorf("meet endpoints: %+v, want sticky (<=2)", meet.Endpoints)
 	}
 	// Memoization returns the identical result.
-	again := lagStudy(tb, TinyScale, sce, platform.Zoom)
+	again := lagStudies(tb, TinyScale, sce.unit(platform.Zoom))[0]
 	if again != zoom {
-		t.Error("lagStudy not memoized")
+		t.Error("lag unit not memoized")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestEndpointChurn(t *testing.T) {
 // sides.
 func TestFig2Series(t *testing.T) {
 	tb := NewTestbed(46)
-	r := lagStudy(tb, TinyScale, LagScenarios()[0], platform.Webex)
+	r := lagStudies(tb, TinyScale, LagScenarios()[0].unit(platform.Webex))[0]
 	big := func(ss []int) int {
 		n := 0
 		for _, s := range ss {

@@ -44,7 +44,7 @@ type UnitRequest struct {
 // RunCampaignUnit produces and the cell store persists. Any error is
 // treated as "compute locally", never as a failed campaign, so
 // implementations should exhaust their own retries first.
-// Implementations must be safe for concurrent use: the scheduler
+// Implementations must be safe for concurrent use: the remote tier
 // dispatches every missing unit of a campaign at once.
 type Dispatcher interface {
 	DispatchUnit(req UnitRequest) ([]byte, error)
@@ -52,9 +52,10 @@ type Dispatcher interface {
 
 // WithDispatcher attaches a unit dispatcher and returns tb for
 // chaining. Dispatch applies only to campaign cells (RunCampaign and
-// the campaign-backed experiments); lag studies and ablation runs with
-// platform overrides always compute in-process. Fleet topology and
-// failures never change rendered bytes, only wall-clock time.
+// the campaign-backed experiments): lag studies and ablation arms
+// resolve through the memo, store and local tiers, and campaigns under
+// platform overrides compute in-process. Fleet topology and failures
+// never change rendered bytes, only wall-clock time.
 func (tb *Testbed) WithDispatcher(d Dispatcher) *Testbed {
 	tb.dispatcher = d
 	return tb
@@ -149,7 +150,7 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 	if cell == nil {
 		return nil, fmt.Errorf("core: campaign %q has no cell %q", rc.name, key)
 	}
-	out, data := tb.resolve([]string{key}, nil, tb.storeTier(sc, rc.salt()),
+	out, data := tb.resolve([]string{key}, nil, tb.storeTier(sc, oneSalt(rc.salt())),
 		localTier(func(stb *Testbed, _ int) any { return runCell(stb, *cell, sc) }))
 	if data[0] != nil {
 		return data[0], nil

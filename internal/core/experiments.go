@@ -22,57 +22,59 @@ type Experiment struct {
 	Run   func(tb *Testbed, sc Scale, w io.Writer)
 }
 
-// memo caches sweep results when several experiments share one campaign
-// (fig12/fig14/fig15 all come from the §4.3 US sweep).
-func (tb *Testbed) memoGet(key string) (any, bool) {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
-	if tb.memo == nil {
-		return nil, false
-	}
-	v, ok := tb.memo[key]
-	return v, ok
+// lagUnit is one lag-study campaign unit: kind measured from host to
+// fleet on the testbed forked for key. override, when non-nil, is
+// applied on that fork before measuring — an ablation's counterfactual
+// arm.
+type lagUnit struct {
+	key      string
+	kind     platform.Kind
+	host     geo.Region
+	fleet    []geo.Region
+	override *platform.Config
 }
 
-func (tb *Testbed) memoPut(key string, v any) {
-	tb.memoMu.Lock()
-	defer tb.memoMu.Unlock()
-	if tb.memo == nil {
-		tb.memo = make(map[string]any)
-	}
-	tb.memo[key] = v
+// unit is the scenario's lag unit for one platform.
+func (sce LagScenario) unit(kind platform.Kind) lagUnit {
+	return lagUnit{key: "lag/" + sce.ID + "/" + string(kind), kind: kind, host: sce.Host, fleet: sce.Fleet}
 }
 
-// lagKey canonically names one (scenario, platform) lag campaign unit.
-func lagKey(sce LagScenario, kind platform.Kind) string {
-	return "lag/" + sce.ID + "/" + string(kind)
-}
-
-// lagStudy memoizes RunLagStudy per (scenario, platform), each unit on
-// its own fork so the result depends only on (seed, scenario, platform)
-// and never on what ran before it.
-func lagStudy(tb *Testbed, sc Scale, sce LagScenario, kind platform.Kind) *LagStudyResult {
-	res, _ := tb.resolve([]string{lagKey(sce, kind)}, nil, memoTier, tb.storeTier(sc, ""),
-		localTier(func(stb *Testbed, _ int) any {
-			return RunLagStudy(stb, kind, sce.Host, sce.Fleet, sc)
-		}))
-	return res[0].(*LagStudyResult)
-}
-
-// lagStudyAll runs one scenario's full platform sweep — the campaign
-// behind each of Figs 4-11 — with the three platform units in parallel.
-func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario) map[platform.Kind]*LagStudyResult {
-	keys := make([]string, len(platform.Kinds))
+// units is the scenario's full platform sweep — the campaign behind
+// each of Figs 3-11 — in platform.Kinds order.
+func (sce LagScenario) units() []lagUnit {
+	out := make([]lagUnit, len(platform.Kinds))
 	for i, k := range platform.Kinds {
-		keys[i] = lagKey(sce, k)
+		out[i] = sce.unit(k)
 	}
-	res, _ := tb.resolve(keys, nil, memoTier, tb.storeTier(sc, ""),
+	return out
+}
+
+// lagStudies resolves a batch of lag units through the memo, store and
+// local tiers and returns their results in order. Each computed unit
+// runs on its own fork, so a result depends only on (seed, key,
+// override) and never on what ran before it; an override also salts
+// the unit's stored cell. Lag units never dispatch: the fleet's
+// UnitRequest names campaign cells only.
+func lagStudies(tb *Testbed, sc Scale, units ...lagUnit) []*LagStudyResult {
+	keys := make([]string, len(units))
+	salts := make([]string, len(units))
+	for i, u := range units {
+		keys[i] = u.key
+		if u.override != nil {
+			salts[i] = overrideSalt(*u.override)
+		}
+	}
+	res, _ := tb.resolve(keys, nil, tb.memoTier(sc), tb.storeTier(sc, func(i int) string { return salts[i] }),
 		localTier(func(stb *Testbed, i int) any {
-			return RunLagStudy(stb, platform.Kinds[i], sce.Host, sce.Fleet, sc)
+			u := units[i]
+			if u.override != nil {
+				stb.OverridePlatform(*u.override)
+			}
+			return RunLagStudy(stb, u.kind, u.host, u.fleet, sc)
 		}))
-	out := make(map[platform.Kind]*LagStudyResult, len(res))
-	for i, k := range platform.Kinds {
-		out[k] = res[i].(*LagStudyResult)
+	out := make([]*LagStudyResult, len(res))
+	for i, v := range res {
+		out[i] = v.(*LagStudyResult)
 	}
 	return out
 }
@@ -80,9 +82,9 @@ func lagStudyAll(tb *Testbed, sc Scale, sce LagScenario) map[platform.Kind]*LagS
 // lagFigure renders one of Figs 4-7.
 func lagFigure(sce LagScenario) func(tb *Testbed, sc Scale, w io.Writer) {
 	return func(tb *Testbed, sc Scale, w io.Writer) {
-		studies := lagStudyAll(tb, sc, sce)
-		for _, kind := range platform.Kinds {
-			r := studies[kind]
+		studies := lagStudies(tb, sc, sce.units()...)
+		for i, kind := range platform.Kinds {
+			r := studies[i]
 			plot := report.CDFPlot{
 				Title:  fmt.Sprintf("%s: streaming lag CDF, host %s, %s", sce.ID, sce.Host.Name, kind),
 				XLabel: "video lag (ms)",
@@ -99,9 +101,9 @@ func lagFigure(sce LagScenario) func(tb *Testbed, sc Scale, w io.Writer) {
 // rttFigure renders one of Figs 8-11 (service proximity).
 func rttFigure(sce LagScenario, figID string) func(tb *Testbed, sc Scale, w io.Writer) {
 	return func(tb *Testbed, sc Scale, w io.Writer) {
-		studies := lagStudyAll(tb, sc, sce)
-		for _, kind := range platform.Kinds {
-			r := studies[kind]
+		studies := lagStudies(tb, sc, sce.units()...)
+		for i, kind := range platform.Kinds {
+			r := studies[i]
 			t := report.Table{
 				Title:  fmt.Sprintf("%s: RTT to service endpoints, host %s, %s", figID, sce.Host.Name, kind),
 				Header: []string{"client", "sessions", "min ms", "median ms", "max ms"},
@@ -254,7 +256,7 @@ func Experiments() []Experiment {
 			Title: "Video lag measurement: packet-size scatter",
 			Paper: "periodic spikes of >200B packets every 2s; receiver copy shifted by the lag",
 			Run: func(tb *Testbed, sc Scale, w io.Writer) {
-				r := lagStudy(tb, sc, sces[0], platform.Zoom)
+				r := lagStudies(tb, sc, sces[0].unit(platform.Zoom))[0]
 				t := report.Table{
 					Title:  "fig2: first flashes (zoom, host US-East)",
 					Header: []string{"side", "t (ms)", "bytes"},
@@ -290,9 +292,9 @@ func Experiments() []Experiment {
 					platform.Webex: "single endpoint per session",
 					platform.Meet:  "per-client endpoints, cross-relay",
 				}
-				studies := lagStudyAll(tb, sc, sces[0])
-				for _, kind := range platform.Kinds {
-					r := studies[kind]
+				studies := lagStudies(tb, sc, sces[0].units()...)
+				for i, kind := range platform.Kinds {
+					r := studies[i]
 					t.AddRow(string(kind), r.Endpoints.Sessions, r.Endpoints.Total,
 						r.Endpoints.PerSession, topo[kind])
 				}

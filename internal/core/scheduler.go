@@ -12,14 +12,16 @@ import (
 	"github.com/vcabench/vcabench/internal/obs"
 )
 
-// This file is the campaign scheduler: the paper's evaluation is a set
-// of campaigns made of many independent units — one (platform, scenario)
-// lag study per Figs 4-11 column, one (platform, size, motion) cell per
-// Figs 12-15 sweep point, one arm per ablation — and real measurement
-// fans these across client machines. Here each unit runs on its own
-// forked Testbed whose seed is derived from the unit's canonical key,
-// so results depend only on (base seed, unit key): the same bytes come
-// out whether the campaign runs on one worker or sixteen, and whether a
+// This file is the campaign engine's resolver: the paper's evaluation
+// is a set of campaigns made of many independent units — one (platform,
+// scenario) lag study per Figs 3-11 column, one (platform, size, motion)
+// cell per Figs 12-15 sweep point, one arm per ablation — and real
+// measurement fans these across client machines. Every unit resolves
+// through one chain of tiers (memo, store, fleet, local); a unit that
+// computes runs in the local tier's worker pool on its own forked
+// Testbed whose seed is derived from the unit's canonical key, so
+// results depend only on (base seed, unit key): the same bytes come out
+// whether the campaign runs on one worker or sixteen, and whether a
 // unit runs first or last.
 
 // shardSeed derives a unit's seed from the campaign's base seed and the
@@ -78,79 +80,6 @@ func (tb *Testbed) SetParallelism(n int) *Testbed {
 // Parallelism reports the campaign worker count.
 func (tb *Testbed) Parallelism() int { return tb.parallelism }
 
-// Unit is one independent campaign shard: a canonical key (which names
-// it in the memo table and derives its seed) and the work itself,
-// executed against a testbed forked for that key.
-type Unit struct {
-	Key string
-	Run func(stb *Testbed)
-}
-
-// Scheduler fans campaign units across a bounded worker pool. Each unit
-// runs on TB.Fork(unit.Key); the pool size only changes wall-clock
-// time, never results. Run returns once every unit has finished, so
-// callers may merge unit outputs without further synchronization.
-type Scheduler struct {
-	TB *Testbed
-	// Workers bounds the pool; <=0 means TB.Parallelism().
-	Workers int
-}
-
-// Run executes every unit and waits for completion. A panicking unit is
-// re-panicked on the caller's goroutine after the pool drains.
-func (s *Scheduler) Run(units []Unit) {
-	workers := s.Workers
-	if workers <= 0 {
-		workers = s.TB.Parallelism()
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers <= 1 {
-		for _, u := range units {
-			u.Run(s.TB.Fork(u.Key))
-		}
-		return
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicMu  sync.Mutex
-		panicked any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicked == nil {
-								panicked = r
-							}
-							panicMu.Unlock()
-							// Stop dispatching further units; in-flight
-							// ones drain, then the caller re-panics.
-							next.Store(int64(len(units)))
-						}
-					}()
-					units[i].Run(s.TB.Fork(units[i].Key))
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
 // A tier is one place a campaign unit's result can come from: the memo
 // table, the cell store, the worker fleet or local compute. resolve
 // asks its tiers in order; each serves what it can of the units no
@@ -180,26 +109,40 @@ const (
 	// fleet tries every unit at once; the fleet bounds its own
 	// per-worker concurrency.
 	fleet
-	// pool runs units on the Scheduler pool, each on TB.Fork(key). A
-	// pool tier serves every unit it is given.
+	// pool runs units on a bounded worker pool of Parallelism()
+	// goroutines, each unit on TB.Fork(key). A pool tier serves every
+	// unit it is given.
 	pool
 )
 
-// memoTier serves units this testbed already resolved. Experiments
-// that share a campaign (fig12/fig14/fig15 all read the §4.3.1 US
-// sweep; Figs 4-11 share four lag campaigns) hit it on every call after
-// the first.
-var memoTier = &tier{
-	span: obs.TierMemo, label: "memo",
-	get: func(tb *Testbed, _ int, key string) (any, []byte, bool) {
-		v, ok := tb.memoGet(key)
-		return v, nil, ok
-	},
-	keep: func(r *resolution, i int) { r.tb.memoPut(r.keys[i], r.out[i]) },
+// memoTier serves units this testbed already resolved at scale sc.
+// Experiments that share a campaign (fig12/fig14/fig15 all read the
+// §4.3.1 US sweep; Figs 3-11 share four lag campaigns) hit it on every
+// call after the first. Entries are scoped by the scale fingerprint, as
+// store keys are: a tweaked scale never reads another scale's results.
+func (tb *Testbed) memoTier(sc Scale) *tier {
+	scope := scaleFingerprint(sc) + "/"
+	return &tier{
+		span: obs.TierMemo, label: "memo",
+		get: func(_ *Testbed, _ int, key string) (any, []byte, bool) {
+			tb.memoMu.Lock()
+			defer tb.memoMu.Unlock()
+			v, ok := tb.memo[scope+key]
+			return v, nil, ok
+		},
+		keep: func(r *resolution, i int) {
+			tb.memoMu.Lock()
+			defer tb.memoMu.Unlock()
+			if tb.memo == nil {
+				tb.memo = make(map[string]any)
+			}
+			tb.memo[scope+r.keys[i]] = r.out[i]
+		},
+	}
 }
 
-// localTier computes units in-process: run(stb, i) on the Scheduler
-// pool, each unit on its own fork.
+// localTier computes units in-process: run(stb, i) on the worker pool,
+// each unit on its own fork.
 func localTier(run func(stb *Testbed, i int) any) *tier {
 	return &tier{
 		span: obs.TierLocalRun, label: "local", fan: pool,
@@ -262,7 +205,9 @@ func (tb *Testbed) resolve(keys []string, parents map[string]obs.SpanID, tiers .
 }
 
 // serve runs t's attempts over the pending units and returns the ones
-// t could not serve, in input order.
+// t could not serve, in input order. It returns once every attempt has
+// finished, so the caller may read r.out without further
+// synchronization.
 func (r *resolution) serve(t *tier, pending []int) []int {
 	var rest []int
 	switch t.fan {
@@ -291,11 +236,41 @@ func (r *resolution) serve(t *tier, pending []int) []int {
 		wg.Wait()
 		sort.Ints(rest)
 	case pool:
-		units := make([]Unit, len(pending))
-		for j, i := range pending {
-			units[j] = Unit{Key: r.keys[i], Run: func(stb *Testbed) { r.try(t, stb, i) }}
+		// Parallelism() workers take units in input order, each onto
+		// its own fork, so the worker count only changes wall-clock
+		// time, never results. A panicking unit stops further pickups;
+		// in-flight units drain, then the panic is re-raised on the
+		// caller's goroutine.
+		var (
+			wg       sync.WaitGroup
+			mu       sync.Mutex
+			next     atomic.Int64
+			panicked any
+		)
+		for w := min(r.tb.parallelism, len(pending)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						mu.Lock()
+						if panicked == nil {
+							panicked = p
+						}
+						mu.Unlock()
+						next.Store(int64(len(pending)))
+					}
+				}()
+				for j := int(next.Add(1)) - 1; j < len(pending); j = int(next.Add(1)) - 1 {
+					i := pending[j]
+					r.try(t, r.tb.Fork(r.keys[i]), i)
+				}
+			}()
 		}
-		(&Scheduler{TB: r.tb}).Run(units)
+		wg.Wait()
+		if panicked != nil {
+			panic(panicked)
+		}
 	}
 	return rest
 }

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/vcabench/vcabench/internal/geo"
+	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
 )
 
@@ -59,51 +61,59 @@ func TestSetParallelism(t *testing.T) {
 	}
 }
 
-// The scheduler must run every unit exactly once, on a fork seeded by
-// the unit key, regardless of worker count.
+// The local tier's pool must run every unit exactly once, on a fork
+// seeded by the unit key, and return results in key order, regardless
+// of worker count.
 func TestSchedulerRunsEveryUnitOnce(t *testing.T) {
+	keys := []string{"u1", "u2", "u3", "u4", "u5", "u6", "u7"}
 	for _, workers := range []int{1, 3, 16} {
 		tb := NewTestbed(7).SetParallelism(workers)
 		var mu sync.Mutex
 		seen := map[string]int64{}
-		var units []Unit
-		for _, key := range []string{"u1", "u2", "u3", "u4", "u5", "u6", "u7"} {
-			key := key
-			units = append(units, Unit{Key: key, Run: func(stb *Testbed) {
-				mu.Lock()
-				defer mu.Unlock()
-				if _, dup := seen[key]; dup {
-					t.Errorf("workers=%d: unit %s ran twice", workers, key)
-				}
-				seen[key] = stb.seed
-			}})
-		}
-		(&Scheduler{TB: tb}).Run(units)
-		if len(seen) != len(units) {
-			t.Fatalf("workers=%d: ran %d units, want %d", workers, len(seen), len(units))
+		out, _ := tb.resolve(keys, nil, localTier(func(stb *Testbed, i int) any {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := seen[keys[i]]; dup {
+				t.Errorf("workers=%d: unit %s ran twice", workers, keys[i])
+			}
+			seen[keys[i]] = stb.seed
+			return stb.seed
+		}))
+		if len(seen) != len(keys) {
+			t.Fatalf("workers=%d: ran %d units, want %d", workers, len(seen), len(keys))
 		}
 		for key, seed := range seen {
 			if want := shardSeed(7, key); seed != want {
 				t.Errorf("workers=%d: unit %s got seed %d, want shardSeed %d", workers, key, seed, want)
 			}
 		}
+		for i, key := range keys {
+			if out[i] != shardSeed(7, key) {
+				t.Errorf("workers=%d: result %d is %v, want unit %s's", workers, i, out[i], key)
+			}
+		}
 	}
 }
 
+// A panicking unit is re-raised on the resolving goroutine once the
+// pool drains, at any worker count.
 func TestSchedulerPropagatesPanic(t *testing.T) {
-	tb := NewTestbed(8).SetParallelism(4)
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Errorf("recovered %v, want \"boom\"", r)
-		}
-	}()
-	(&Scheduler{TB: tb}).Run([]Unit{
-		{Key: "ok", Run: func(*Testbed) {}},
-		{Key: "bad", Run: func(*Testbed) { panic("boom") }},
-		{Key: "ok2", Run: func(*Testbed) {}},
-		{Key: "ok3", Run: func(*Testbed) {}},
-		{Key: "ok4", Run: func(*Testbed) {}},
-	})
+	keys := []string{"ok", "bad", "ok2", "ok3", "ok4"}
+	for _, workers := range []int{1, 3, 16} {
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("workers=%d: recovered %v, want \"boom\"", workers, r)
+				}
+			}()
+			NewTestbed(8).SetParallelism(workers).resolve(keys, nil, localTier(func(_ *Testbed, i int) any {
+				if keys[i] == "bad" {
+					panic("boom")
+				}
+				return nil
+			}))
+		}()
+	}
 }
 
 // resolve's memo and local tiers must compute each key once and serve repeats from the
@@ -116,8 +126,8 @@ func TestRunMemoized(t *testing.T) {
 		return stb.seed
 	}
 	keys := []string{"a", "b", "c"}
-	first, _ := tb.resolve(keys, nil, memoTier, localTier(run))
-	again, _ := tb.resolve(keys, nil, memoTier, localTier(run))
+	first, _ := tb.resolve(keys, nil, tb.memoTier(TinyScale), localTier(run))
+	again, _ := tb.resolve(keys, nil, tb.memoTier(TinyScale), localTier(run))
 	if calls.Load() != int64(len(keys)) {
 		t.Errorf("ran %d units, want %d (memo miss on repeat?)", calls.Load(), len(keys))
 	}
@@ -130,7 +140,7 @@ func TestRunMemoized(t *testing.T) {
 		}
 	}
 	// Partial overlap: only the new key runs.
-	tb.resolve([]string{"b", "d"}, nil, memoTier, localTier(run))
+	tb.resolve([]string{"b", "d"}, nil, tb.memoTier(TinyScale), localTier(run))
 	if calls.Load() != int64(len(keys))+1 {
 		t.Errorf("partial-overlap call ran %d total units, want %d", calls.Load(), len(keys)+1)
 	}
@@ -188,8 +198,98 @@ func TestAblationParallelDeterminism(t *testing.T) {
 func TestCampaignMemoSharing(t *testing.T) {
 	tb := NewTestbed(42).SetParallelism(2)
 	sce := LagScenarios()[0]
-	first := lagStudyAll(tb, TinyScale, sce)
-	if again := lagStudy(tb, TinyScale, sce, platform.Zoom); again != first[platform.Zoom] {
-		t.Error("lagStudy did not reuse the memoized campaign unit")
+	first := lagStudies(tb, TinyScale, sce.units()...)
+	for i, kind := range platform.Kinds {
+		if again := lagStudies(tb, TinyScale, sce.unit(kind))[0]; again != first[i] {
+			t.Errorf("%s: lag unit not reused from the memoized campaign", kind)
+		}
+	}
+}
+
+// The memo is scoped by scale like the store: a testbed that renders
+// fig4 at TinyScale and then at a tweaked scale must render the second
+// exactly as a fresh testbed at the tweaked scale does, not replay the
+// Tiny results.
+func TestMemoScopedByScale(t *testing.T) {
+	e, ok := Lookup("fig4")
+	if !ok {
+		t.Fatal("fig4 missing")
+	}
+	tweaked := TinyScale
+	tweaked.LagSessions++
+	render := func(tb *Testbed, sc Scale) string {
+		var sb strings.Builder
+		e.Run(tb, sc, &sb)
+		return sb.String()
+	}
+	tb := NewTestbed(42).SetParallelism(2)
+	tiny := render(tb, TinyScale)
+	same := render(tb, tweaked)
+	fresh := render(NewTestbed(42).SetParallelism(2), tweaked)
+	if same != fresh {
+		t.Errorf("tweaked-scale render on a reused testbed differs from a fresh testbed's:\n--- reused ---\n%s\n--- fresh ---\n%s", same, fresh)
+	}
+	if same == tiny {
+		t.Error("tweaked-scale render equals the TinyScale one; the scale change had no effect")
+	}
+}
+
+// Ablation arms are resolved units: the first run computes and stores
+// both arms under unit spans, a rerun from a fresh testbed over the same
+// store serves both from it byte-identically, and an edited
+// counterfactual config misses the store instead of reading the stale
+// cell.
+func TestAblationArmsResolveThroughStore(t *testing.T) {
+	e, ok := Lookup("ablate-p2p")
+	if !ok {
+		t.Fatal("ablate-p2p missing")
+	}
+	st := &mapStore{m: map[string][]byte{}}
+	run := func() (string, *obs.Telemetry) {
+		tel := manualTelemetry()
+		var sb strings.Builder
+		e.Run(NewTestbed(42).SetParallelism(2).WithTelemetry(tel).WithStore(st), TinyScale, &sb)
+		return sb.String(), tel
+	}
+	served := func(tel *obs.Telemetry, tier string) uint64 {
+		return tel.Metrics.CounterVec("vcabench_units_total",
+			"Campaign units resolved, by serving tier.", "tier").With(tier).Value()
+	}
+
+	cold, coldTel := run()
+	if got := coldTel.Tracer.CountTier(obs.TierUnit); got != 2 {
+		t.Errorf("cold unit spans = %d, want 2 (one per arm)", got)
+	}
+	if got := served(coldTel, "local"); got != 2 {
+		t.Errorf("cold units_total{local} = %d, want 2", got)
+	}
+	if got := st.puts.Load(); got != 2 {
+		t.Errorf("cold store puts = %d, want 2", got)
+	}
+
+	warm, warmTel := run()
+	if warm != cold {
+		t.Errorf("warm ablation output differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	}
+	if got := served(warmTel, "store"); got != 2 {
+		t.Errorf("warm units_total{store} = %d, want 2", got)
+	}
+	if got := served(warmTel, "local"); got != 0 {
+		t.Errorf("warm units_total{local} = %d, want 0", got)
+	}
+	if got := st.puts.Load(); got != 2 {
+		t.Errorf("store puts after warm run = %d, want 2 (zero recompute)", got)
+	}
+
+	// Same keys, edited counterfactual: the baseline arm still hits, the
+	// counterfactual recomputes.
+	cfg := platform.DefaultConfig(platform.Zoom)
+	cfg.P2PWhenPair = false
+	cfg.RegionalLB = !cfg.RegionalLB
+	tel := manualTelemetry()
+	lagStudies(NewTestbed(42).WithTelemetry(tel).WithStore(st), TinyScale,
+		arms("ablate-p2p", "p2p", "relay", geo.USEast, []geo.Region{geo.USWest}, cfg)...)
+	if s, l := served(tel, "store"), served(tel, "local"); s != 1 || l != 1 {
+		t.Errorf("edited counterfactual: units_total store=%d local=%d, want 1 and 1", s, l)
 	}
 }

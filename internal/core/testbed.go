@@ -39,10 +39,9 @@ type Testbed struct {
 	// parallelism is the campaign worker count (see scheduler.go).
 	parallelism int
 
-	// memo caches campaign-unit results shared between experiments.
-	// Today resolve only touches it from the caller's goroutine (before
-	// dispatch and after the pool drains); the lock keeps the table
-	// safe if experiment drivers ever run concurrently.
+	// memo caches campaign-unit results shared between experiments,
+	// keyed by scale fingerprint and unit key (see memoTier). Pool
+	// workers write it back as their units finish, hence the lock.
 	memoMu sync.Mutex
 	memo   map[string]any
 	// campaigns pins each campaign name run on this testbed to one

@@ -74,10 +74,6 @@ type (
 	Experiment = core.Experiment
 	// Region is a geographic vantage point or PoP.
 	Region = geo.Region
-	// Scheduler fans independent campaign units across a worker pool.
-	Scheduler = core.Scheduler
-	// Unit is one independent campaign shard for the Scheduler.
-	Unit = core.Unit
 	// Campaign declares a QoE sweep as a grid of axis values.
 	Campaign = core.Campaign
 	// Geometry places a campaign cell's host and receiver pool.

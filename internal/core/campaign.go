@@ -632,9 +632,10 @@ func fluctTrace(ne Netem) trace.Trace {
 	}
 }
 
-// runCell executes one grid point on its forked testbed, translating
-// the cell's axes into the QoE study's options and last-mile setup.
-func runCell(stb *Testbed, c campaignCell, sc Scale) *QoEStudyResult {
+// runCell executes replica rep of one grid point on its forked testbed,
+// translating the cell's axes into the QoE study's options and
+// last-mile setup.
+func runCell(stb *Testbed, c campaignCell, rep int, sc Scale) *QoEStudyResult {
 	opts := QoEOpts{DownlinkCapBps: c.capBps, WithAudio: c.audio}
 	ne := c.netem
 	if ne.DownCapBps > 0 {
@@ -660,7 +661,7 @@ func runCell(stb *Testbed, c campaignCell, sc Scale) *QoEStudyResult {
 			}
 		}
 	}
-	return RunQoEStudyWithSetup(stb, c.kind, c.geom.host, c.geom.receivers(c.n-1),
+	return runQoEStudy(stb, rep, c.kind, c.geom.host, c.geom.receivers(c.n-1),
 		c.motion, sc, opts, setup)
 }
 
@@ -968,7 +969,7 @@ func RunCampaign(tb *Testbed, spec Campaign, sc Scale) (*CampaignResult, error) 
 	// replicas while the per-unit key alone differentiates their seeds.
 	res, _ := tb.resolve(keys, parents, tb.memoTier(sc), tb.storeTier(sc, oneSalt(rc.salt())), tb.remoteTier(spec, sc),
 		localTier(func(stb *Testbed, i int) any {
-			return runCell(stb, cells[i/reps], sc)
+			return runCell(stb, cells[i/reps], i%reps, sc)
 		}))
 	tr.End(campSpan)
 	out := &CampaignResult{

@@ -43,7 +43,11 @@ type CellStore interface {
 // units alongside bare cell keys.
 // v4: diagnostics — QoEStudyResult gained the Diag flight-recorder
 // document and keys gained a bare/diag mode segment (see cellKey).
-const cellSchemaVersion = 4
+// v5: common random numbers — a QoE cell's source video and speech are
+// the run's shared feeds for (seed, motion, profile, replica), no longer
+// drawn from the cell's own seed (see sources.go), so every stored QoE
+// value changed.
+const cellSchemaVersion = 5
 
 func init() {
 	// Unit results are persisted as a gob interface value so one codec

@@ -92,23 +92,24 @@ func (tb *Testbed) remoteTier(spec Campaign, sc Scale) *tier {
 	}
 }
 
-// replicaBase splits a replica unit key into its cell key, requiring
+// replicaBase splits a replica unit key into its cell key and replica
+// index K, requiring
 // the canonical form "<cellKey>/rep=K" with K in [0, repeats) and no
 // leading zeros or signs — a non-canonical spelling ("rep=007",
 // "rep=+1") must not alias a canonical unit, because the key derives
 // the shard seed and names the store entry. ok is false when the key
 // carries no well-formed replica segment for the given factor.
-func replicaBase(key string, repeats int) (base string, ok bool) {
+func replicaBase(key string, repeats int) (base string, k int, ok bool) {
 	i := strings.LastIndex(key, "/rep=")
 	if i < 0 {
-		return "", false
+		return "", 0, false
 	}
 	num := key[i+len("/rep="):]
 	k, err := strconv.Atoi(num)
 	if err != nil || strconv.Itoa(k) != num || k < 0 || k >= repeats {
-		return "", false
+		return "", 0, false
 	}
-	return key[:i], true
+	return key[:i], k, true
 }
 
 // RunCampaignUnit executes exactly one unit of a campaign spec — a
@@ -131,13 +132,13 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 	// campaign only bare cell keys; the two key shapes never mix for
 	// one spec, so the replica segment is required exactly when
 	// repeats > 1.
-	cellKey := key
+	cellKey, rep := key, 0
 	if rc.repeats > 1 {
-		base, ok := replicaBase(key, rc.repeats)
+		base, k, ok := replicaBase(key, rc.repeats)
 		if !ok {
 			return nil, fmt.Errorf("core: campaign %q (repeats=%d) has no unit %q", rc.name, rc.repeats, key)
 		}
-		cellKey = base
+		cellKey, rep = base, k
 	}
 	cells := rc.cells()
 	var cell *campaignCell
@@ -151,7 +152,7 @@ func RunCampaignUnit(tb *Testbed, spec Campaign, sc Scale, key string) ([]byte, 
 		return nil, fmt.Errorf("core: campaign %q has no cell %q", rc.name, key)
 	}
 	out, data := tb.resolve([]string{key}, nil, tb.storeTier(sc, oneSalt(rc.salt())),
-		localTier(func(stb *Testbed, _ int) any { return runCell(stb, *cell, sc) }))
+		localTier(func(stb *Testbed, _ int) any { return runCell(stb, *cell, rep, sc) }))
 	if data[0] != nil {
 		return data[0], nil
 	}

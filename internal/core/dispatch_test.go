@@ -232,24 +232,25 @@ func TestReplicaBase(t *testing.T) {
 		key     string
 		repeats int
 		base    string
+		rep     int
 		ok      bool
 	}{
-		{"seam/zoom/rep=0", 3, "seam/zoom", true},
-		{"seam/zoom/rep=2", 3, "seam/zoom", true},
-		{"seam/zoom/rep=3", 3, "", false},  // out of range
-		{"seam/zoom/rep=-1", 3, "", false}, // negative
-		{"seam/zoom/rep=007", 8, "", false},
-		{"seam/zoom/rep=+1", 8, "", false},
-		{"seam/zoom/rep=1x", 8, "", false},
-		{"seam/zoom/rep=", 8, "", false},
-		{"seam/zoom", 3, "", false},                 // no replica segment
-		{"seam/rep=1/rep=1", 2, "seam/rep=1", true}, // only the last segment splits
+		{"seam/zoom/rep=0", 3, "seam/zoom", 0, true},
+		{"seam/zoom/rep=2", 3, "seam/zoom", 2, true},
+		{"seam/zoom/rep=3", 3, "", 0, false},  // out of range
+		{"seam/zoom/rep=-1", 3, "", 0, false}, // negative
+		{"seam/zoom/rep=007", 8, "", 0, false},
+		{"seam/zoom/rep=+1", 8, "", 0, false},
+		{"seam/zoom/rep=1x", 8, "", 0, false},
+		{"seam/zoom/rep=", 8, "", 0, false},
+		{"seam/zoom", 3, "", 0, false},                 // no replica segment
+		{"seam/rep=1/rep=1", 2, "seam/rep=1", 1, true}, // only the last segment splits
 	}
 	for _, c := range cases {
-		base, ok := replicaBase(c.key, c.repeats)
-		if ok != c.ok || base != c.base {
-			t.Errorf("replicaBase(%q, %d) = (%q, %v), want (%q, %v)",
-				c.key, c.repeats, base, ok, c.base, c.ok)
+		base, rep, ok := replicaBase(c.key, c.repeats)
+		if ok != c.ok || base != c.base || rep != c.rep {
+			t.Errorf("replicaBase(%q, %d) = (%q, %d, %v), want (%q, %d, %v)",
+				c.key, c.repeats, base, rep, ok, c.base, c.rep, c.ok)
 		}
 	}
 }

@@ -78,7 +78,12 @@ func newQoEResult(kind platform.Kind, motion media.MotionClass, n int) *QoEStudy
 // RunQoEStudy reproduces one §4.3 cell: a host VM injecting a motion-
 // class feed into sc.QoESessions sessions, with every receiver's desktop
 // recording scored by PSNR/SSIM/VIFp against the injected original, and
-// data rates computed from L7 trace payloads.
+// data rates computed from L7 trace payloads. As in the paper, the feed
+// is the run's shared one for (motion, sc.Profile): the host replays the
+// root testbed's tape of it from frame 0 every session, and an audio
+// cell streams the run's speech clip (see sources.go). Only the network,
+// the platform and the host's encoder and packetizer draw from tb's own
+// seed. Studies run directly on a testbed use the replica-0 feeds.
 func RunQoEStudy(tb *Testbed, kind platform.Kind, host geo.Region, recvRegions []geo.Region,
 	motion media.MotionClass, sc Scale, opts QoEOpts) *QoEStudyResult {
 	return RunQoEStudyWithSetup(tb, kind, host, recvRegions, motion, sc, opts, nil)
@@ -89,25 +94,36 @@ func RunQoEStudy(tb *Testbed, kind platform.Kind, host geo.Region, recvRegions [
 // the last-mile extension to install time-varying shapers.
 func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recvRegions []geo.Region,
 	motion media.MotionClass, sc Scale, opts QoEOpts, setup func(recvNodes []*simnet.Node)) *QoEStudyResult {
+	return runQoEStudy(tb, 0, kind, host, recvRegions, motion, sc, opts, setup)
+}
+
+// runQoEStudy is RunQoEStudyWithSetup for replica rep of a cell, which
+// selects the replica's source feeds from the bank.
+func runQoEStudy(tb *Testbed, rep int, kind platform.Kind, host geo.Region, recvRegions []geo.Region,
+	motion media.MotionClass, sc Scale, opts QoEOpts, setup func(recvNodes []*simnet.Node)) *QoEStudyResult {
 
 	pf := tb.Platform(kind)
 	resolve := tb.Resolver()
 	res := newQoEResult(kind, motion, len(recvRegions)+1)
 
+	bank := tb.sources()
+	feed := bank.tape(tapeKey{motion: motion, profile: sc.Profile, rep: rep}, tb.em).Play()
+	var speech *speechFeed
 	var clip *media.AudioClip
 	if opts.WithAudio {
-		clip = media.NewSpeech(sc.QoEDur.Seconds(), tb.seed+11)
+		speech = bank.speechClip(speechKey{dur: sc.QoEDur, rep: rep}, tb.em)
+		clip = speech.clip
 	}
 	hostClient := client.New(tb.Net, client.Config{
-		Name:       tb.uniqueName("qoe-" + string(kind) + "-host"),
-		Region:     host,
-		SendVideo:  true,
-		VideoClass: motion,
-		Profile:    sc.Profile,
-		SendAudio:  opts.WithAudio,
-		AudioClip:  clip,
-		Seed:       tb.seed + 300,
-		Resolve:    resolve,
+		Name:        tb.uniqueName("qoe-" + string(kind) + "-host"),
+		Region:      host,
+		SendVideo:   true,
+		VideoSource: feed,
+		Profile:     sc.Profile,
+		SendAudio:   opts.WithAudio,
+		AudioClip:   clip,
+		Seed:        tb.seed + 300,
+		Resolve:     resolve,
 	})
 	recvs := make([]*client.Client, len(recvRegions))
 	for i, r := range recvRegions {
@@ -161,6 +177,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 		}
 		s.Start()
 		from := tb.Sim.Now()
+		feed.Rewind()
 		for _, c := range all {
 			c.Start()
 		}
@@ -199,7 +216,7 @@ func RunQoEStudyWithSetup(tb *Testbed, kind platform.Kind, host geo.Region, recv
 			win := r.Trace().Between(from, to)
 			res.DownMbps.Add(win.Rate(capture.In) / 1e6)
 			if opts.WithAudio && rec.Audio != nil {
-				res.MOS.Add(qoe.MOSLQO(rec.RefAudio, rec.Audio))
+				res.MOS.Add(speech.ref.MOSLQO(rec.Audio))
 			}
 			for b := range binBytes {
 				bs := from.Add(time.Duration(b) * rateBinWidth)

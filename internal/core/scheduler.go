@@ -52,6 +52,12 @@ func (tb *Testbed) Fork(unitKey string) *Testbed {
 	// into the same registry and tracer; it never influences results.
 	ntb.tel = tb.tel
 	ntb.em = tb.em
+	// QoE cells read their source feeds from the root's bank, so cells
+	// of one run share them (see sources.go).
+	ntb.bankRoot = tb.bankRoot
+	if ntb.bankRoot == nil {
+		ntb.bankRoot = tb
+	}
 	// Diagnostics arm per unit: the fork gets its own recorder keyed by
 	// the unit, so each cell's flight-recorder document is independent
 	// of scheduling order and worker count.

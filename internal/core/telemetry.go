@@ -18,12 +18,17 @@ import (
 // resolve's chain: memo table, cell store, remote fleet, local compute.
 var unitTiers = []string{"memo", "store", "dispatch", "local"}
 
+// bankEntries are the vcabench_source_bank_total entry label values:
+// video tapes and speech clips (see sources.go).
+var bankEntries = []string{"tape", "clip"}
+
 // engineMetrics caches the scheduler's instruments so hot paths don't
 // re-resolve families by name per unit.
 type engineMetrics struct {
 	inflight    *obs.Gauge
 	unitSeconds *obs.Histogram
 	units       *obs.CounterVec
+	bank        *obs.CounterVec
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -34,11 +39,30 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Wall time to resolve one campaign unit, whatever tier served it.", nil),
 		units: reg.CounterVec("vcabench_units_total",
 			"Campaign units resolved, by serving tier.", "tier"),
+		bank: reg.CounterVec("vcabench_source_bank_total",
+			"Source-bank lookups by QoE cells, by entry kind and whether the entry was built or reused.", "entry", "outcome"),
 	}
 	for _, tier := range unitTiers {
 		em.units.With(tier)
 	}
+	for _, entry := range bankEntries {
+		em.bank.With(entry, "build")
+		em.bank.With(entry, "reuse")
+	}
 	return em
+}
+
+// bankLookup counts one source-bank lookup of the given entry kind.
+// Nil-safe, like every hook here.
+func (em *engineMetrics) bankLookup(entry string, reused bool) {
+	if em == nil {
+		return
+	}
+	outcome := "build"
+	if reused {
+		outcome = "reuse"
+	}
+	em.bank.With(entry, outcome).Inc()
 }
 
 // RegisterEngineMetrics pre-creates the engine's metric families (with

@@ -72,6 +72,13 @@ type Testbed struct {
 	diag     bool
 	diagRec  *diag.Recorder
 	diagDocs map[string]*diag.CellDiag
+
+	// bank holds the run's shared source feeds (see sources.go), built
+	// on first use under bankOnce. bankRoot is the root testbed whose
+	// bank a fork reads; nil on a root.
+	bankOnce sync.Once
+	bank     *sourceBank
+	bankRoot *Testbed
 }
 
 // registerCampaign records (or re-checks) the fingerprint of a named

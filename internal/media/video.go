@@ -7,8 +7,9 @@ import (
 
 // Source produces a deterministic stream of frames at a fixed rate.
 type Source interface {
-	// Next returns the next frame. The returned frame is owned by the
-	// caller (sources never reuse the buffer).
+	// Next returns the next frame. Sources never reuse the buffer; the
+	// frame is the caller's, except a Tape playback's, which is shared
+	// and read-only.
 	Next() *Frame
 	// Dims returns the frame geometry.
 	Dims() (w, h int)

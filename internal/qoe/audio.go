@@ -185,7 +185,25 @@ func nsim(ref, deg [][]float64) float64 {
 // against its reference. Clips should be loudness-normalized and aligned
 // first (see media.AudioClip.Normalize and AlignAudio).
 func MOSLQO(ref, deg *media.AudioClip) float64 {
-	sr := spectrogram(ref)
+	return NewAudioRef(ref).MOSLQO(deg)
+}
+
+// AudioRef is a reference clip's spectrogram, built once and scored
+// against any number of degraded clips. It is read-only after
+// NewAudioRef, so goroutines may share it.
+type AudioRef struct {
+	spec [][]float64
+}
+
+// NewAudioRef builds the reference side of MOSLQO.
+func NewAudioRef(ref *media.AudioClip) *AudioRef {
+	return &AudioRef{spec: spectrogram(ref)}
+}
+
+// MOSLQO scores deg against the reference, bit for bit as
+// MOSLQO(ref, deg) does.
+func (r *AudioRef) MOSLQO(deg *media.AudioClip) float64 {
+	sr := r.spec
 	sd := spectrogram(deg)
 	if len(sr) == 0 || len(sd) == 0 {
 		return 1

@@ -282,3 +282,64 @@ func TestFFTKnownSpectrum(t *testing.T) {
 }
 
 func cabs2(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
+
+// lossyDecode runs clip through the audio codec at bps, dropping every
+// lossEvery-th frame (none when 0).
+func lossyDecode(clip *media.AudioClip, bps float64, lossEvery int) *media.AudioClip {
+	frames := codec.NewAudioEncoder(bps).Encode(clip)
+	ptrs := make([]*codec.AudioFrame, len(frames))
+	for i := range frames {
+		if lossEvery == 0 || i%lossEvery != 0 {
+			ptrs[i] = &frames[i]
+		}
+	}
+	return codec.NewAudioDecoder(3).Decode(ptrs, clip.Rate, bps)
+}
+
+// One prebuilt reference scores every degraded clip, in any order, bit
+// for bit as a fresh MOSLQO(ref, deg) does: scoring never touches the
+// shared spectrogram.
+func TestAudioRefMatchesMOSLQO(t *testing.T) {
+	clip := media.NewSpeech(2.0, 35)
+	degs := map[string]*media.AudioClip{
+		"clean":  lossyDecode(clip, 90_000, 0),
+		"lossy":  lossyDecode(clip, 45_000, 4),
+		"silent": media.NewSilence(2.0, clip.Rate),
+		"self":   clip,
+	}
+	ref := NewAudioRef(clip)
+	for _, order := range [][]string{{"clean", "lossy", "silent", "self"}, {"self", "silent", "lossy", "clean"}} {
+		for _, name := range order {
+			got, want := ref.MOSLQO(degs[name]), MOSLQO(clip, degs[name])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: prebuilt-reference MOS %v, fresh %v", name, got, want)
+			}
+		}
+	}
+	silent := NewAudioRef(degs["silent"])
+	if got, want := silent.MOSLQO(clip), MOSLQO(degs["silent"], clip); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("silent reference: prebuilt MOS %v, fresh %v", got, want)
+	}
+}
+
+// BenchmarkMOSLQO is one receiver's audio score at the tiny scale's
+// 8 s clip: building the reference spectrogram every call, and reusing
+// a prebuilt one.
+func BenchmarkMOSLQO(b *testing.B) {
+	clip := media.NewSpeech(8, 11)
+	deg := lossyDecode(clip, 45_000, 10)
+	b.Run("fresh-ref", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			MOSLQO(clip, deg)
+		}
+	})
+	b.Run("prebuilt-ref", func(b *testing.B) {
+		ref := NewAudioRef(clip)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ref.MOSLQO(deg)
+		}
+	})
+}

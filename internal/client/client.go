@@ -24,9 +24,11 @@ type Config struct {
 	QueueBytes             int
 	LossProb               float64
 	// Media generation (senders).
-	SendVideo   bool
-	VideoSource media.Source // explicit source; wins over VideoClass
-	VideoClass  media.MotionClass
+	SendVideo bool
+	// VideoSource is required when SendVideo. Every session's Start
+	// feeds it on from where the last one stopped; rewind a
+	// media.Playback to replay a tape from its first frame.
+	VideoSource media.Source
 	Profile     media.Profile // zero => media.QuickProfile
 	SendAudio   bool
 	AudioClip   *media.AudioClip // required when SendAudio
@@ -126,10 +128,10 @@ func (c *Client) Start() {
 	c.running = true
 
 	if c.cfg.SendVideo {
-		c.src = c.cfg.VideoSource
-		if c.src == nil {
-			c.src = media.NewSource(c.cfg.VideoClass, c.cfg.Profile, c.cfg.Seed)
+		if c.cfg.VideoSource == nil {
+			panic("client: SendVideo without VideoSource")
 		}
+		c.src = c.cfg.VideoSource
 		c.enc = codec.NewVideoEncoder(codec.VideoEncoderConfig{
 			FPS:       c.src.FPS(),
 			TargetBps: c.att.Target(),

@@ -54,7 +54,7 @@ func runSession(t *testing.T, kind platform.Kind, seed int64, dur time.Duration,
 func TestEndToEndVideoSession(t *testing.T) {
 	host := Config{
 		Name: "e2e-host", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.LowMotion, Seed: 1,
+		SendVideo: true, VideoSource: media.NewSource(media.LowMotion, media.QuickProfile, 1), Seed: 1,
 	}
 	recv := Config{Name: "e2e-recv", Region: geo.USWest, Seed: 2}
 	_, h, rs := runSession(t, platform.Webex, 1, 10*time.Second, host, []Config{recv})
@@ -108,7 +108,7 @@ func TestEndToEndAudio(t *testing.T) {
 func TestZoomP2PTwoParty(t *testing.T) {
 	host := Config{
 		Name: "p2p-a", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.LowMotion, Seed: 5,
+		SendVideo: true, VideoSource: media.NewSource(media.LowMotion, media.QuickProfile, 5), Seed: 5,
 	}
 	recv := Config{Name: "p2p-b", Region: geo.USEast2, Seed: 6}
 	_, h, rs := runSession(t, platform.Zoom, 3, 8*time.Second, host, []Config{recv})
@@ -131,7 +131,7 @@ func TestReceiverFeedbackDrivesAdaptation(t *testing.T) {
 	// ~500 kbps multi-party target downward.
 	host := Config{
 		Name: "ad-host", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.HighMotion, Seed: 7,
+		SendVideo: true, VideoSource: media.NewSource(media.HighMotion, media.QuickProfile, 7), Seed: 7,
 	}
 	recvs := []Config{
 		{Name: "ad-r1", Region: geo.USWest, DownlinkBps: 250_000, QueueBytes: 32 * 1024, Seed: 8},
@@ -147,7 +147,7 @@ func TestReceiverFeedbackDrivesAdaptation(t *testing.T) {
 func TestRecordingUnderLoss(t *testing.T) {
 	host := Config{
 		Name: "ls-host", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.HighMotion, Seed: 10,
+		SendVideo: true, VideoSource: media.NewSource(media.HighMotion, media.QuickProfile, 10), Seed: 10,
 	}
 	recv := Config{Name: "ls-recv", Region: geo.USWest, LossProb: 0.08, Seed: 11}
 	_, h, rs := runSession(t, platform.Webex, 5, 10*time.Second, host, []Config{recv})
@@ -159,7 +159,7 @@ func TestRecordingUnderLoss(t *testing.T) {
 	// Compare with the clean receiver path of the same content.
 	host2 := Config{
 		Name: "ls-host2", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.HighMotion, Seed: 10,
+		SendVideo: true, VideoSource: media.NewSource(media.HighMotion, media.QuickProfile, 10), Seed: 10,
 	}
 	recv2 := Config{Name: "ls-recv2", Region: geo.USWest, Seed: 11}
 	_, h2, rs2 := runSession(t, platform.Webex, 5, 10*time.Second, host2, []Config{recv2})
@@ -232,7 +232,7 @@ func TestViewAndStateStrings(t *testing.T) {
 func TestMonitorRecordsRTPMetadata(t *testing.T) {
 	host := Config{
 		Name: "mon-host", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.LowMotion, Seed: 12,
+		SendVideo: true, VideoSource: media.NewSource(media.LowMotion, media.QuickProfile, 12), Seed: 12,
 	}
 	recv := Config{Name: "mon-recv", Region: geo.USEast2, Seed: 13}
 	_, _, rs := runSession(t, platform.Webex, 7, 5*time.Second, host, []Config{recv})
@@ -265,7 +265,7 @@ func TestStartBeforeJoinPanics(t *testing.T) {
 func TestPcapExportOfSessionTrace(t *testing.T) {
 	host := Config{
 		Name: "pcap-host", Region: geo.USEast,
-		SendVideo: true, VideoClass: media.LowMotion, Seed: 14,
+		SendVideo: true, VideoSource: media.NewSource(media.LowMotion, media.QuickProfile, 14), Seed: 14,
 	}
 	recv := Config{Name: "pcap-recv", Region: geo.USWest, Seed: 15}
 	_, _, rs := runSession(t, platform.Meet, 8, 5*time.Second, host, []Config{recv})

@@ -81,9 +81,10 @@ func newQoEResult(kind platform.Kind, motion media.MotionClass, n int) *QoEStudy
 // data rates computed from L7 trace payloads. As in the paper, the feed
 // is the run's shared one for (motion, sc.Profile): the host replays the
 // root testbed's tape of it from frame 0 every session, and an audio
-// cell streams the run's speech clip (see sources.go). Only the network,
-// the platform and the host's encoder and packetizer draw from tb's own
-// seed. Studies run directly on a testbed use the replica-0 feeds.
+// cell streams the run's speech clip (see sources.go). Everything else
+// — network, platform, the host's encoder and packetizer, the receivers
+// — draws from tb's own seed. A study run directly on a testbed plays
+// the replica-0 feeds.
 func RunQoEStudy(tb *Testbed, kind platform.Kind, host geo.Region, recvRegions []geo.Region,
 	motion media.MotionClass, sc Scale, opts QoEOpts) *QoEStudyResult {
 	return RunQoEStudyWithSetup(tb, kind, host, recvRegions, motion, sc, opts, nil)

@@ -40,7 +40,8 @@ func shardSeed(base int64, key string) int64 {
 // simulator, fresh network, fresh platform instances, seeded by
 // shardSeed(tb.seed, unitKey). Platform overrides registered on the
 // parent (the ablation mechanism) carry over; instantiated platforms do
-// not — a fork always provisions its own. Forks default to serial
+// not — a fork always provisions its own. The root's read-only source
+// bank is shared, not copied (see sources.go). Forks default to serial
 // scheduling so nested campaigns don't multiply workers.
 func (tb *Testbed) Fork(unitKey string) *Testbed {
 	ntb := NewTestbed(shardSeed(tb.seed, unitKey))

@@ -79,14 +79,19 @@ func (b *sourceBank) tape(k tapeKey, em *engineMetrics) *media.Tape {
 	b.mu.Lock()
 	t, ok := b.tapes[k]
 	if !ok {
-		seed := shardSeed(b.seed, fmt.Sprintf("source/%s/%dx%d@%d/rep=%d",
-			k.motion, k.profile.W, k.profile.H, k.profile.FPS, k.rep))
-		t = media.NewTape(media.NewSource(k.motion, k.profile, seed))
+		t = b.newTape(k)
 		b.tapes[k] = t
 	}
 	b.mu.Unlock()
 	em.bankLookup("tape", ok)
 	return t
+}
+
+// newTape builds the tape for k from its key-derived seed.
+func (b *sourceBank) newTape(k tapeKey) *media.Tape {
+	seed := shardSeed(b.seed, replicaKey(fmt.Sprintf("source/%s/%dx%d@%d",
+		k.motion, k.profile.W, k.profile.H, k.profile.FPS), k.rep))
+	return media.NewTape(media.NewSource(k.motion, k.profile, seed))
 }
 
 // speechClip returns the speech feed for k, synthesising the clip and
@@ -100,7 +105,7 @@ func (b *sourceBank) speechClip(k speechKey, em *engineMetrics) *speechFeed {
 	}
 	b.mu.Unlock()
 	s.once.Do(func() {
-		seed := shardSeed(b.seed, fmt.Sprintf("speech/%s/rep=%d", k.dur, k.rep))
+		seed := shardSeed(b.seed, replicaKey("speech/"+k.dur.String(), k.rep))
 		s.clip = media.NewSpeech(k.dur.Seconds(), seed)
 		s.ref = qoe.NewAudioRef(s.clip)
 	})

@@ -93,12 +93,12 @@ func (tb *Testbed) remoteTier(spec Campaign, sc Scale) *tier {
 }
 
 // replicaBase splits a replica unit key into its cell key and replica
-// index K, requiring
-// the canonical form "<cellKey>/rep=K" with K in [0, repeats) and no
-// leading zeros or signs — a non-canonical spelling ("rep=007",
-// "rep=+1") must not alias a canonical unit, because the key derives
-// the shard seed and names the store entry. ok is false when the key
-// carries no well-formed replica segment for the given factor.
+// index K, requiring the canonical form "<cellKey>/rep=K" with K in
+// [0, repeats) and no leading zeros or signs — a non-canonical spelling
+// ("rep=007", "rep=+1") must not alias a canonical unit, because the
+// key derives the shard seed and names the store entry. ok is false
+// when the key carries no well-formed replica segment for the given
+// factor.
 func replicaBase(key string, repeats int) (base string, k int, ok bool) {
 	i := strings.LastIndex(key, "/rep=")
 	if i < 0 {

@@ -72,12 +72,31 @@ func NewAudioDecoder(seed int64) *AudioDecoder {
 }
 
 // Decode rebuilds the clip. frames[i] == nil marks a lost frame. rate is
-// the PCM sample rate; bitrate the codec's wire rate.
+// the PCM sample rate; bitrate the codec's wire rate. The clip's samples
+// are sized from the frame list up front and written in place: a received
+// frame is its PCM plus coding noise, a lost one the concealment of the
+// last received frame.
 func (d *AudioDecoder) Decode(frames []*AudioFrame, rate int, bitrate float64) *media.AudioClip {
 	frameSamples := int(AudioFrameDur * float64(rate))
 	out := &media.AudioClip{Rate: rate}
+	// Each frame's length depends only on the list: a lost frame spans
+	// frameSamples, or the last received frame's length when that is
+	// shorter.
+	total, last := 0, 0
+	for _, f := range frames {
+		if f != nil {
+			last = len(f.PCM.Samples)
+			total += last
+			continue
+		}
+		total += concealLen(frameSamples, last)
+	}
+	if total == 0 {
+		return out
+	}
+	out.Samples = make([]float64, total)
 	var prev []float64
-	lossRun := 0
+	pos, lossRun := 0, 0
 	// Coding noise: inaudible at >=40 kbps, noticeable below ~16 kbps.
 	noiseStd := 0.0
 	if bitrate > 0 {
@@ -86,31 +105,36 @@ func (d *AudioDecoder) Decode(frames []*AudioFrame, rate int, bitrate float64) *
 	for _, f := range frames {
 		if f != nil {
 			lossRun = 0
-			seg := make([]float64, len(f.PCM.Samples))
-			copy(seg, f.PCM.Samples)
-			for i := range seg {
-				seg[i] += d.rng.NormFloat64() * noiseStd
+			n := len(f.PCM.Samples)
+			seg := out.Samples[pos : pos+n : pos+n]
+			for i, v := range f.PCM.Samples {
+				seg[i] = v + d.rng.NormFloat64()*noiseStd
 			}
-			out.Samples = append(out.Samples, seg...)
 			prev = seg
+			pos += n
 			continue
 		}
 		// Concealment.
 		lossRun++
 		atten := math.Pow(0.5, float64(lossRun))
-		n := frameSamples
-		if len(prev) > 0 && len(prev) < n {
-			n = len(prev)
-		}
-		seg := make([]float64, n)
+		seg := out.Samples[pos : pos+concealLen(frameSamples, len(prev))]
 		for i := range seg {
 			v := 0.0
 			if len(prev) > 0 {
-				v = prev[i%len(prev)] * atten
+				v = prev[i] * atten
 			}
 			seg[i] = v
 		}
-		out.Samples = append(out.Samples, seg...)
+		pos += len(seg)
 	}
 	return out
+}
+
+// concealLen is the length of a concealed frame after a received frame
+// of length last (0 when none was received yet).
+func concealLen(frameSamples, last int) int {
+	if last > 0 && last < frameSamples {
+		return last
+	}
+	return frameSamples
 }

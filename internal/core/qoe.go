@@ -160,8 +160,16 @@ func runQoEStudy(tb *Testbed, rep int, kind platform.Kind, host geo.Region, recv
 	// same injected frames and share decoded-frame pointers, so the
 	// scorer's identity-keyed caches collapse that repeated work without
 	// changing any output bit. The scorer lives and dies with this call,
-	// on this goroutine — fork-safe by construction.
-	scorer := qoe.NewScorer()
+	// on this goroutine — fork-safe by construction. On a pool worker's
+	// fork it draws its float images from the worker's buffers and gives
+	// them back when the cell ends, so the worker's next cell reuses
+	// them; buffer contents never reach a result.
+	var scorer *qoe.Scorer
+	if tb.bufs != nil {
+		scorer = qoe.NewScorerWith(tb.bufs)
+	} else {
+		scorer = qoe.NewScorer()
+	}
 
 	// A trace-driven cell bins every receiver's downlink bytes over
 	// session time; bins average across sessions × receivers at the end.
@@ -233,6 +241,8 @@ func runQoEStudy(tb *Testbed, rep int, kind platform.Kind, host geo.Region, recv
 		}
 		tb.Sim.RunFor(2 * time.Second)
 	}
+	scorer.Release()
+	tb.em.scoreBuffers(scorer.BufferGets())
 	if binBytes != nil {
 		res.RateBin = rateBinWidth
 		res.RateOverTime = make([]float64, len(binBytes))

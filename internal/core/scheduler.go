@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"github.com/vcabench/vcabench/internal/obs"
+	"github.com/vcabench/vcabench/internal/qoe"
 )
 
 // This file is the campaign engine's resolver: the paper's evaluation
@@ -245,7 +246,10 @@ func (r *resolution) serve(t *tier, pending []int) []int {
 	case pool:
 		// Parallelism() workers take units in input order, each onto
 		// its own fork, so the worker count only changes wall-clock
-		// time, never results. A panicking unit stops further pickups;
+		// time, never results. Each worker owns one scoring buffer
+		// pool and lends it to every fork it runs, one at a time, so
+		// its cells reuse float images without sharing them across
+		// goroutines. A panicking unit stops further pickups;
 		// in-flight units drain, then the panic is re-raised on the
 		// caller's goroutine.
 		var (
@@ -268,9 +272,12 @@ func (r *resolution) serve(t *tier, pending []int) []int {
 						next.Store(int64(len(pending)))
 					}
 				}()
+				bufs := qoe.NewBuffers()
 				for j := int(next.Add(1)) - 1; j < len(pending); j = int(next.Add(1)) - 1 {
 					i := pending[j]
-					r.try(t, r.tb.Fork(r.keys[i]), i)
+					stb := r.tb.Fork(r.keys[i])
+					stb.bufs = bufs
+					r.try(t, stb, i)
 				}
 			}()
 		}

@@ -22,6 +22,11 @@ var unitTiers = []string{"memo", "store", "dispatch", "local"}
 // video tapes and speech clips (see sources.go).
 var bankEntries = []string{"tape", "clip"}
 
+// scoreBufferResults are the vcabench_score_buffers_total result label
+// values: a scorer's float image came from its worker's pool, or was
+// freshly allocated.
+var scoreBufferResults = []string{"reused", "allocated"}
+
 // engineMetrics caches the scheduler's instruments so hot paths don't
 // re-resolve families by name per unit.
 type engineMetrics struct {
@@ -29,6 +34,7 @@ type engineMetrics struct {
 	unitSeconds *obs.Histogram
 	units       *obs.CounterVec
 	bank        *obs.CounterVec
+	scoreBufs   *obs.CounterVec
 }
 
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
@@ -41,6 +47,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 			"Campaign units resolved, by serving tier.", "tier"),
 		bank: reg.CounterVec("vcabench_source_bank_total",
 			"Source-bank lookups by QoE cells, by entry kind and whether the entry was built or reused.", "entry", "outcome"),
+		scoreBufs: reg.CounterVec("vcabench_score_buffers_total",
+			"Float images QoE scorers took from their worker's buffer pool, by whether the buffer was reused or allocated.", "result"),
 	}
 	for _, tier := range unitTiers {
 		em.units.With(tier)
@@ -48,6 +56,9 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	for _, entry := range bankEntries {
 		em.bank.With(entry, "build")
 		em.bank.With(entry, "reuse")
+	}
+	for _, result := range scoreBufferResults {
+		em.scoreBufs.With(result)
 	}
 	return em
 }
@@ -63,6 +74,15 @@ func (em *engineMetrics) bankLookup(entry string, reused bool) {
 		outcome = "reuse"
 	}
 	em.bank.With(entry, outcome).Inc()
+}
+
+// scoreBuffers counts one cell's scorer buffer gets. Nil-safe.
+func (em *engineMetrics) scoreBuffers(reused, allocated int) {
+	if em == nil {
+		return
+	}
+	em.scoreBufs.With("reused").Add(uint64(reused))
+	em.scoreBufs.With("allocated").Add(uint64(allocated))
 }
 
 // RegisterEngineMetrics pre-creates the engine's metric families (with

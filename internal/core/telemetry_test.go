@@ -168,6 +168,8 @@ func TestEngineMetricsExposition(t *testing.T) {
 		`vcabench_units_total{tier="local"} 0` + "\n",
 		`vcabench_units_total{tier="memo"} 0` + "\n",
 		"vcabench_unit_seconds_count 0\n",
+		`vcabench_score_buffers_total{result="allocated"} 0` + "\n",
+		`vcabench_score_buffers_total{result="reused"} 0` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("missing %q in:\n%s", want, text)

@@ -22,6 +22,7 @@ import (
 	"github.com/vcabench/vcabench/internal/media"
 	"github.com/vcabench/vcabench/internal/obs"
 	"github.com/vcabench/vcabench/internal/platform"
+	"github.com/vcabench/vcabench/internal/qoe"
 	"github.com/vcabench/vcabench/internal/simnet"
 )
 
@@ -79,6 +80,11 @@ type Testbed struct {
 	bankOnce sync.Once
 	bank     *sourceBank
 	bankRoot *Testbed
+
+	// bufs is the scoring buffer pool of the pool worker running this
+	// fork's unit; nil elsewhere (see resolution.serve and
+	// runQoEStudy).
+	bufs *qoe.Buffers
 }
 
 // registerCampaign records (or re-checks) the fingerprint of a named

@@ -3,6 +3,7 @@ package qoe
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"github.com/vcabench/vcabench/internal/media"
 )
@@ -21,8 +22,9 @@ const (
 	specFloor  = -60 // dB floor
 )
 
-// fft computes an in-place radix-2 FFT. len(x) must be a power of two.
-func fft(x []complex128) {
+// fft computes an in-place radix-2 FFT. len(x) must be a power of two
+// and tw must be twiddles(len(x)).
+func fft(x, tw []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -39,57 +41,102 @@ func fft(x []complex128) {
 		}
 	}
 	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Exp(complex(0, ang))
+		half := length / 2
+		w := tw[half-1 : length-1]
 		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			for j := 0; j < length/2; j++ {
+			for j := 0; j < half; j++ {
 				u := x[i+j]
-				v := x[i+j+length/2] * w
+				v := x[i+j+half] * w[j]
 				x[i+j] = u + v
-				x[i+j+length/2] = u - v
-				w *= wl
+				x[i+j+half] = u - v
 			}
 		}
 	}
 }
 
+// twiddles returns fft's table for length n: for each stage length L,
+// at offset L/2-1, the L/2 factors w_j = exp(-2*pi*i/L)^j. They come
+// from the running product w *= exp(-2*pi*i/L) starting at 1, the
+// recurrence an inline butterfly loop would use, so a table-driven fft
+// is bit-identical to one that recomputes them every call.
+func twiddles(n int) []complex128 {
+	tw := make([]complex128, 0, max(n-1, 0))
+	for length := 2; length <= n; length <<= 1 {
+		wl := cmplx.Exp(complex(0, -2*math.Pi/float64(length)))
+		w := complex(1, 0)
+		for j := 0; j < length/2; j++ {
+			tw = append(tw, w)
+			w *= wl
+		}
+	}
+	return tw
+}
+
+// specPlan is everything spectrogram needs that depends only on the
+// window and the sample rate: the Hann window, each band's FFT bin range
+// [lo, hi) and fft's twiddles. Plans are built once per rate and then
+// shared read-only.
+type specPlan struct {
+	hann   []float64
+	lo, hi [specBands]int
+	tw     []complex128
+}
+
+// specPlans caches one *specPlan per sample rate. Cells on different
+// workers score audio concurrently, hence the sync.Map.
+var specPlans sync.Map
+
+func planFor(rate int) *specPlan {
+	if p, ok := specPlans.Load(rate); ok {
+		return p.(*specPlan)
+	}
+	// Bands are log-spaced between 100 Hz and 7 kHz.
+	fLo, fHi := 100.0, 7000.0
+	if nyquist := float64(rate) / 2; fHi > nyquist {
+		fHi = nyquist * 0.95
+	}
+	var edges [specBands + 1]float64
+	for i := range edges {
+		edges[i] = fLo * math.Pow(fHi/fLo, float64(i)/float64(specBands))
+	}
+	binHz := float64(rate) / specWindow
+	p := &specPlan{hann: make([]float64, specWindow), tw: twiddles(specWindow)}
+	for i := range p.hann {
+		p.hann[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(specWindow-1))
+	}
+	for b := 0; b < specBands; b++ {
+		lo := int(edges[b] / binHz)
+		hi := int(edges[b+1] / binHz)
+		if hi <= lo {
+			hi = lo + 1
+		}
+		p.lo[b], p.hi[b] = lo, min(hi, specWindow/2)
+	}
+	got, _ := specPlans.LoadOrStore(rate, p)
+	return got.(*specPlan)
+}
+
 // spectrogram returns band-energy frames in dB, clamped to specFloor.
-// Bands are log-spaced between 100 Hz and 7 kHz.
+// Every frame's row is a window of one backing array.
 func spectrogram(c *media.AudioClip) [][]float64 {
 	if len(c.Samples) < specWindow {
 		return nil
 	}
-	// Precompute band bin ranges.
-	fLo, fHi := 100.0, 7000.0
-	if max := float64(c.Rate) / 2; fHi > max {
-		fHi = max * 0.95
-	}
-	edges := make([]float64, specBands+1)
-	for i := range edges {
-		edges[i] = fLo * math.Pow(fHi/fLo, float64(i)/float64(specBands))
-	}
-	binHz := float64(c.Rate) / specWindow
-	hann := make([]float64, specWindow)
-	for i := range hann {
-		hann[i] = 0.5 - 0.5*math.Cos(2*math.Pi*float64(i)/float64(specWindow-1))
-	}
-	var out [][]float64
+	p := planFor(c.Rate)
+	frames := (len(c.Samples)-specWindow)/specHop + 1
+	out := make([][]float64, frames)
+	rows := make([]float64, frames*specBands)
 	buf := make([]complex128, specWindow)
-	for off := 0; off+specWindow <= len(c.Samples); off += specHop {
+	for t := range out {
+		off := t * specHop
 		for i := 0; i < specWindow; i++ {
-			buf[i] = complex(c.Samples[off+i]*hann[i], 0)
+			buf[i] = complex(c.Samples[off+i]*p.hann[i], 0)
 		}
-		fft(buf)
-		bands := make([]float64, specBands)
+		fft(buf, p.tw)
+		bands := rows[t*specBands : (t+1)*specBands : (t+1)*specBands]
 		for b := 0; b < specBands; b++ {
-			lo := int(edges[b] / binHz)
-			hi := int(edges[b+1] / binHz)
-			if hi <= lo {
-				hi = lo + 1
-			}
 			var e float64
-			for k := lo; k < hi && k < specWindow/2; k++ {
+			for k := p.lo[b]; k < p.hi[b]; k++ {
 				e += real(buf[k])*real(buf[k]) + imag(buf[k])*imag(buf[k])
 			}
 			db := float64(specFloor)
@@ -101,7 +148,7 @@ func spectrogram(c *media.AudioClip) [][]float64 {
 			}
 			bands[b] = db
 		}
-		out = append(out, bands)
+		out[t] = bands
 	}
 	return out
 }

@@ -20,16 +20,27 @@ type fimg struct {
 func newFimg(w, h int) *fimg { return &fimg{w: w, h: h, v: make([]float64, w*h)} }
 
 // fimgPool recycles float-image buffers by exact pixel count. The metric
-// pipelines churn through large intermediates (the dominant allocation
-// source of a cold campaign cell); pooling them per Scorer keeps reuse
-// single-goroutine and deterministic. Buffers come back dirty — every
-// producer below writes each output element before it is read, so no
-// zeroing pass is needed.
+// pipelines churn through large intermediates (unpooled, the dominant
+// allocation source of a cold campaign cell); the pool lives in a
+// Buffers, which a campaign worker keeps across the cells it scores, so
+// reuse stays single-goroutine and deterministic. Buffers come back
+// dirty — every producer below writes each output element before it is
+// read, so no zeroing pass is needed. reused and allocated count gets by
+// outcome.
 type fimgPool struct {
-	free map[int][]*fimg
+	free      map[int][]*fimg
+	reused    int
+	allocated int
 }
 
-func newFimgPool() *fimgPool { return &fimgPool{free: make(map[int][]*fimg)} }
+// Buffers is a float-image pool that outlives one Scorer: a campaign
+// worker keeps one and hands it to every Scorer it makes (NewScorerWith),
+// so only its first cells allocate. Like a Scorer, a Buffers belongs to
+// one goroutine.
+type Buffers struct{ fimgPool }
+
+// NewBuffers returns an empty pool.
+func NewBuffers() *Buffers { return &Buffers{fimgPool{free: make(map[int][]*fimg)}} }
 
 func (p *fimgPool) get(w, h int) *fimg {
 	n := w * h
@@ -37,8 +48,10 @@ func (p *fimgPool) get(w, h int) *fimg {
 		im := bucket[len(bucket)-1]
 		p.free[n] = bucket[:len(bucket)-1]
 		im.w, im.h = w, h
+		p.reused++
 		return im
 	}
+	p.allocated++
 	return &fimg{w: w, h: h, v: make([]float64, n)}
 }
 

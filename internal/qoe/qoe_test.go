@@ -2,6 +2,7 @@ package qoe
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -268,7 +269,7 @@ func TestFFTKnownSpectrum(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		buf[i] = complex(c.Samples[i], 0)
 	}
-	fft(buf)
+	fft(buf, twiddles(512))
 	peak, peakBin := 0.0, 0
 	for k := 1; k < 256; k++ {
 		m := cabs2(buf[k])
@@ -340,6 +341,181 @@ func BenchmarkMOSLQO(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ref.MOSLQO(deg)
+		}
+	})
+}
+
+// refFFT is fft with its twiddles recomputed inline by the running
+// product, stage by stage, as the table is built.
+func refFFT(x []complex128) {
+	n := len(x)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for length := 2; length <= n; length <<= 1 {
+		wl := cmplx.Exp(complex(0, -2*math.Pi/float64(length)))
+		for i := 0; i < n; i += length {
+			w := complex(1, 0)
+			for j := 0; j < length/2; j++ {
+				u := x[i+j]
+				v := x[i+j+length/2] * w
+				x[i+j] = u + v
+				x[i+j+length/2] = u - v
+				w *= wl
+			}
+		}
+	}
+}
+
+// The table-driven fft is bit-identical to the inline recurrence.
+func TestFFTTwiddleTableBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for n := 1; n <= 1024; n <<= 1 {
+		a := make([]complex128, n)
+		for i := range a {
+			a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		b := append([]complex128(nil), a...)
+		fft(a, twiddles(n))
+		refFFT(b)
+		for i := range a {
+			if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+				math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+				t.Fatalf("n=%d: bin %d = %v, want %v", n, i, a[i], b[i])
+			}
+		}
+	}
+}
+
+// scoringClip is a recording to score: ref frames of one motion class,
+// shown as noisy copies, with a leading never-shown stretch and a frozen
+// tail so black stand-ins and repeated pairs are scored too.
+func scoringClip(motion media.MotionClass, seed int64, n int) (ref, disp []*media.Frame) {
+	src := media.NewSource(motion, media.QuickProfile, seed)
+	for i := 0; i < n; i++ {
+		f := src.Next()
+		ref = append(ref, f)
+		switch {
+		case i < 2:
+			disp = append(disp, nil)
+		case i >= n-3:
+			disp = append(disp, disp[n-4])
+		default:
+			disp = append(disp, noisy(f, 8, seed+int64(i)))
+		}
+	}
+	return ref, disp
+}
+
+// poison overwrites every pooled buffer with NaN, so a producer that
+// reads an element before writing it turns a score into NaN.
+func poison(b *Buffers) {
+	for _, bucket := range b.free {
+		for _, im := range bucket {
+			for i := range im.v {
+				im.v[i] = math.NaN()
+			}
+		}
+	}
+}
+
+func sameVideoResult(a, b VideoResult) bool {
+	return math.Float64bits(a.PSNR) == math.Float64bits(b.PSNR) &&
+		math.Float64bits(a.SSIM) == math.Float64bits(b.SSIM) &&
+		math.Float64bits(a.VIFP) == math.Float64bits(b.VIFP) &&
+		math.Float64bits(a.FreezeRatio) == math.Float64bits(b.FreezeRatio) &&
+		a.Frames == b.Frames
+}
+
+// A Scorer on dirty, reused buffers scores bit for bit as a fresh one:
+// every producer writes each element before any read. The pool is
+// primed by scoring the clip once, so it holds a buffer of every size
+// the SSIM windows and the VIF pyramid use; poisoning them with NaN
+// makes any read-before-write show in the scores. A second clip on the
+// same Buffers, after Release, must match too, and Release must hand
+// back exactly the buffers the scorer took.
+func TestScorerDirtyBuffersBitIdentical(t *testing.T) {
+	clips := [][2][]*media.Frame{}
+	for _, c := range []struct {
+		motion media.MotionClass
+		seed   int64
+	}{{media.LowMotion, 21}, {media.HighMotion, 22}} {
+		ref, disp := scoringClip(c.motion, c.seed, 12)
+		clips = append(clips, [2][]*media.Frame{ref, disp})
+	}
+	b := NewBuffers()
+	primer := NewScorerWith(b)
+	primer.CompareVideo(clips[0][0], clips[0][1], 1)
+	primer.Release()
+	pooled := pooledCount(b)
+	for i, c := range clips {
+		want := NewScorer().CompareVideo(c[0], c[1], 1)
+		poison(b)
+		sc := NewScorerWith(b)
+		got := sc.CompareVideo(c[0], c[1], 1)
+		sc.Release()
+		if !sameVideoResult(got, want) {
+			t.Errorf("clip %d: dirty buffers scored %v, fresh %v", i, got, want)
+		}
+		reused, allocated := sc.BufferGets()
+		if reused == 0 || allocated != 0 {
+			t.Errorf("clip %d: %d buffers reused, %d allocated; want all reused", i, reused, allocated)
+		}
+		if n := pooledCount(b); n != pooled {
+			t.Errorf("clip %d: pool holds %d buffers after Release, %d before", i, n, pooled)
+		}
+	}
+}
+
+func pooledCount(b *Buffers) int {
+	n := 0
+	for _, bucket := range b.free {
+		n += len(bucket)
+	}
+	return n
+}
+
+var sinkVideo VideoResult
+
+// BenchmarkCompareVideo is one cell's video scoring (three receivers'
+// recordings of one session) on a scorer with fresh buffers, and on one
+// that reuses a worker's buffers from the cell before.
+func BenchmarkCompareVideo(b *testing.B) {
+	var recs [][2][]*media.Frame
+	for r := int64(0); r < 3; r++ {
+		ref, disp := scoringClip(media.HighMotion, 30, 24)
+		for i := range disp {
+			if disp[i] != nil && i%4 == int(r) {
+				disp[i] = noisy(ref[i], 4, 40+r*100+int64(i))
+			}
+		}
+		recs = append(recs, [2][]*media.Frame{ref, disp})
+	}
+	cell := func(sc *Scorer) {
+		for _, rec := range recs {
+			sinkVideo = sc.CompareVideo(rec[0], rec[1], 2)
+		}
+	}
+	b.Run("fresh-buffers", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cell(NewScorer())
+		}
+	})
+	b.Run("worker-buffers", func(b *testing.B) {
+		bufs := NewBuffers()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sc := NewScorerWith(bufs)
+			cell(sc)
+			sc.Release()
 		}
 	})
 }

@@ -27,7 +27,8 @@ const statsBudgetFloats = 6 << 20
 //
 // Frames must not be mutated after being scored (sources and codecs
 // never do). A Scorer is single-goroutine, like the testbed that owns
-// it; independent forks get independent Scorers.
+// it; independent forks get independent Scorers. Its float images come
+// from a Buffers pool, which may outlive it (see NewScorerWith).
 type Scorer struct {
 	pool   *fimgPool
 	pairs  map[pairKey]pairScores
@@ -38,6 +39,10 @@ type Scorer struct {
 	blacks map[[2]int]*media.Frame
 	kssim  []float64
 	kvif   [4][]float64
+
+	// reused0 and allocated0 are the pool's get counts when the Scorer
+	// was made, so BufferGets reports this Scorer's own.
+	reused0, allocated0 int
 }
 
 type pairKey struct{ ref, dist *media.Frame }
@@ -63,21 +68,46 @@ type imgStats struct {
 	floats int
 }
 
-// NewScorer creates an empty scorer. Kernels are fixed by the metric
-// definitions, so they are built once here.
-func NewScorer() *Scorer {
+// NewScorer creates an empty scorer on a pool of its own: the one-shot
+// form, for a caller that scores one study and drops everything.
+func NewScorer() *Scorer { return NewScorerWith(NewBuffers()) }
+
+// NewScorerWith creates an empty scorer that draws its float images from
+// b and, on Release, gives them back to it. Kernels are fixed by the
+// metric definitions, so they are built once here.
+func NewScorerWith(b *Buffers) *Scorer {
 	sc := &Scorer{
-		pool:   newFimgPool(),
-		pairs:  make(map[pairKey]pairScores),
-		stats:  make(map[*media.Frame]*imgStats),
-		blacks: make(map[[2]int]*media.Frame),
-		kssim:  gaussianKernel(ssimWindow, ssimSigma),
+		pool:       &b.fimgPool,
+		reused0:    b.reused,
+		allocated0: b.allocated,
+		pairs:      make(map[pairKey]pairScores),
+		stats:      make(map[*media.Frame]*imgStats),
+		blacks:     make(map[[2]int]*media.Frame),
+		kssim:      gaussianKernel(ssimWindow, ssimSigma),
 	}
 	for scale := 1; scale <= 4; scale++ {
 		n := 1<<(5-scale) + 1 // 17, 9, 5, 3
 		sc.kvif[scale-1] = gaussianKernel(n, float64(n)/5)
 	}
 	return sc
+}
+
+// Release returns every float image the scorer retains to its pool, in
+// insertion order, and empties its stat cache. Pair scores stay cached,
+// so the scorer remains usable; it only rebuilds stats it needs again.
+func (sc *Scorer) Release() {
+	for _, f := range sc.order[sc.head:] {
+		sc.releaseStats(sc.stats[f])
+	}
+	clear(sc.stats)
+	clear(sc.order)
+	sc.order, sc.head, sc.floats = sc.order[:0], 0, 0
+}
+
+// BufferGets reports how many float images this scorer took from its
+// pool, split into reused buffers and fresh allocations.
+func (sc *Scorer) BufferGets() (reused, allocated int) {
+	return sc.pool.reused - sc.reused0, sc.pool.allocated - sc.allocated0
 }
 
 // scorePair returns the three metrics for one (ref, shown) pair, from
